@@ -1,12 +1,13 @@
-"""Event-heap simulation kernel — façade equivalence + event efficiency.
+"""Event-heap simulation kernel — clock equivalence + event efficiency.
 
 Not a paper figure: this benchmarks the `repro.fleet.kernel` layer that
-replaces the fleet's tick loop with a discrete-event heap.  Two
-contracts gate unconditionally:
+runs heterogeneous per-node uplink schedules on a discrete-event heap.
+Two contracts gate unconditionally:
 
-* **lockstep façade** — the same cohort run under ``engine="ticks"``
-  and ``engine="kernel"`` must produce byte-identical ``FleetSummary``
-  JSON (the kernel replays the legacy loop's phase order exactly);
+* **clock equivalence** — the same cohort run on the tick loop and with
+  every node's ``uplink_period_s`` overridden to the base period (which
+  puts it on per-node kernel events) must produce byte-identical
+  ``FleetSummary`` JSON;
 * **sparse-cohort efficiency** — with 90 % of the nodes
   delineation-only (uplinking at 10x the base period), the kernel must
   process at least ``MIN_EVENT_RATIO`` times fewer events than the
@@ -39,16 +40,16 @@ MIN_EVENT_RATIO = 3.0
 
 
 def run_all():
-    """Both engines over one cohort, then the sparse-cohort event run."""
+    """Both clocks over one cohort, then the sparse-cohort event run."""
     cohort = make_cohort(CohortConfig(n_patients=EQ_PATIENTS, seed=7))
     node_config = NodeProxyConfig(stream_telemetry=False)
-    reports = {}
-    for engine in ("ticks", "kernel"):
-        reports[engine] = FleetScheduler(
-            cohort,
-            SchedulerConfig(duration_s=EQ_DURATION_S, fs=FS,
-                            engine=engine),
+    overridden = [replace(p, uplink_period_s=node_config.excerpt_period_s)
+                  for p in cohort]
+    reports = {
+        name: FleetScheduler(
+            members, SchedulerConfig(duration_s=EQ_DURATION_S, fs=FS),
             node_config=node_config).run()
+        for name, members in (("ticks", cohort), ("events", overridden))}
 
     duration = SPARSE_PERIOD_S * 10.0
     base = make_cohort(CohortConfig(n_patients=SPARSE_PATIENTS, seed=3))
@@ -70,14 +71,14 @@ def test_fleet_event_kernel(benchmark):
 
     print_table(
         f"Event kernel ({EQ_PATIENTS} patients x {EQ_DURATION_S:.0f} s "
-        f"both engines; sparse {SPARSE_PATIENTS} patients, "
+        f"both clocks; sparse {SPARSE_PATIENTS} patients, "
         f"{SPARSE_PATIENTS - SPARSE_DENSE} @ 10x period)",
         ["metric", "value"],
         [
-            ("ticks engine wall [s]",
+            ("tick loop wall [s]",
              reports["ticks"].timings_s["uplink+gateway"]),
-            ("kernel engine wall [s]",
-             reports["kernel"].timings_s["uplink+gateway"]),
+            ("per-node events wall [s]",
+             reports["events"].timings_s["uplink+gateway"]),
             ("sparse kernel events", stats["n_events"]),
             ("tick-loop iterations", stats["tick_loop_iterations"]),
             ("event ratio [x]", ratio),
@@ -87,11 +88,12 @@ def test_fleet_event_kernel(benchmark):
     )
 
     # The determinism contract gates unconditionally.
-    assert reports["kernel"].summary.to_json() \
+    assert reports["events"].summary.to_json() \
         == reports["ticks"].summary.to_json(), \
-        "kernel lockstep façade diverged from the tick loop"
-    assert reports["kernel"].kernel_stats["engine"] == "kernel-lockstep"
-    assert reports["kernel"].packets_sent == reports["ticks"].packets_sent
+        "per-node kernel events diverged from the tick loop"
+    assert reports["ticks"].kernel_stats["engine"] == "ticks"
+    assert reports["events"].kernel_stats["engine"] == "kernel-events"
+    assert reports["events"].packets_sent == reports["ticks"].packets_sent
 
     # The efficiency contract: cost proportional to events, not ticks.
     assert stats["engine"] == "kernel-events"

@@ -1,15 +1,14 @@
 """Event-kernel demo: the fleet's virtual-time clock, two ways.
 
-Part 1 runs one cohort under both simulation engines —
-``engine="ticks"`` (the legacy per-tick loop) and ``engine="kernel"``
-(the event-heap lockstep façade of ``repro.fleet.kernel``) — and
-proves the two ``FleetSummary`` JSON payloads are byte-identical.
+Part 1 runs one cohort on the per-tick loop, then again with every
+node's ``uplink_period_s`` overridden to the base excerpt period —
+which puts the run on the per-node events of ``repro.fleet.kernel`` —
+and proves the two ``FleetSummary`` JSON payloads are byte-identical.
 
 Part 2 marks most of the cohort delineation-only with a per-node
-``uplink_period_s`` at 10x the base excerpt period.  That switches the
-scheduler to true per-node events: each node uplinks at its own
-period, and the run's cost is proportional to *events*, not
-ticks x cohort.  The printed ratio is the kernel's win over the
+``uplink_period_s`` at 10x the base excerpt period: each node uplinks
+at its own period, and the run's cost is proportional to *events*,
+not ticks x cohort.  The printed ratio is the kernel's win over the
 per-patient visits the tick loop would have spent.
 
 Run:  python examples/fleet_event_kernel.py [--patients 12] \
@@ -46,25 +45,25 @@ def main() -> None:
     period = node_config.excerpt_period_s
 
     print(f"part 1: {args.patients} patients x {args.duration:.0f} s "
-          "under both engines ...")
+          "on both clocks ...")
     cohort = make_cohort(CohortConfig(n_patients=args.patients, seed=7))
+    overridden = [replace(p, uplink_period_s=period) for p in cohort]
     reports = {
-        engine: FleetScheduler(
-            cohort,
-            SchedulerConfig(duration_s=args.duration, engine=engine),
+        name: FleetScheduler(
+            members, SchedulerConfig(duration_s=args.duration),
             node_config=node_config).run()
-        for engine in ("ticks", "kernel")
+        for name, members in (("ticks", cohort), ("events", overridden))
     }
-    identical = (reports["kernel"].summary.to_json()
+    identical = (reports["events"].summary.to_json()
                  == reports["ticks"].summary.to_json())
     print(f"  tick loop : {reports['ticks'].kernel_stats['engine']}, "
           f"{reports['ticks'].packets_sent} packets")
-    print(f"  kernel    : {reports['kernel'].kernel_stats['engine']}, "
-          f"{reports['kernel'].packets_sent} packets, "
-          f"{reports['kernel'].kernel_stats['n_events']} events")
+    print(f"  per-node  : {reports['events'].kernel_stats['engine']}, "
+          f"{reports['events'].packets_sent} packets, "
+          f"{reports['events'].kernel_stats['n_events']} events")
     print("  summaries byte-identical:", identical)
     if not identical:
-        raise SystemExit("engine equivalence contract broken")
+        raise SystemExit("clock equivalence contract broken")
 
     sparse_duration = period * 10.0
     sparse_cohort = [

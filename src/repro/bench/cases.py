@@ -310,20 +310,11 @@ def fleet_throughput_sharded(ctx: BenchContext) -> dict:
     Times both layouts over the same cohort and **asserts** the merged
     summaries are byte-identical — a codec or determinism regression
     fails the bench (and therefore the CI quick gate), not just a unit
-    test.  The 4-shard leg runs on the shared-memory transport where
-    the platform has one (and additionally byte-checks the pickle
-    backend against it), so the timing covers the zero-copy fabric:
-    shard results travel as segment handles and merge without an
-    unpickle copy, with the compiled FISTA drain
-    (:mod:`repro.compression.fista_kernels`) behind reconstruction.
-    The headline metric is the 4-process speedup over the
+    test.  The headline metric is the 4-process speedup over the
     single-process run; on the 1-core containers that record baselines
     it hovers near 1.0 — multi-core gates live in
     ``benchmarks/test_fleet_throughput_sharded.py``.
     """
-    from repro.compression.fista_kernels import backend
-    from repro.fleet.transport import SharedMemoryTransport
-
     n_patients = 6 if ctx.quick else 16
     duration = 60.0 if ctx.quick else 120.0
     cohort = make_cohort(CohortConfig(n_patients=n_patients, seed=7))
@@ -332,22 +323,12 @@ def fleet_throughput_sharded(ctx: BenchContext) -> dict:
         node_config=NodeProxyConfig(stream_telemetry=False),
         gateway_config=GatewayConfig(n_iter=80),
     )
-    shm = SharedMemoryTransport.available()
-    transport = "shared_memory" if shm else "pickle"
     single = ShardedFleetRunner(cohort, n_shards=1, **kwargs).run()
-    sharded = ShardedFleetRunner(cohort, n_shards=4,
-                                 transport=transport, **kwargs).run()
+    sharded = ShardedFleetRunner(cohort, n_shards=4, **kwargs).run()
     if sharded.summary.to_json() != single.summary.to_json():
         raise AssertionError(
             "4-shard FleetSummary diverged from the 1-shard run — "
             "sharding determinism regression")
-    if shm:
-        pickled = ShardedFleetRunner(cohort, n_shards=4,
-                                     transport="pickle", **kwargs).run()
-        if pickled.summary.to_json() != sharded.summary.to_json():
-            raise AssertionError(
-                "pickle-transport summary diverged from shared memory "
-                "— transport fabric regression")
     wall_single = single.timings_s["total"]
     wall_sharded = sharded.timings_s["total"]
     return {
@@ -355,8 +336,6 @@ def fleet_throughput_sharded(ctx: BenchContext) -> dict:
         "samples": int(n_patients * duration * FS) * 3 * 2,
         "packets": sharded.packets_sent,
         "byte_identical": True,
-        "transport": transport,
-        "fista_backend": backend(),
         "speedup_vs_single_process": wall_single / wall_sharded,
         "single_process_wall_s": wall_single,
         "sharded_wall_s": wall_sharded,
@@ -600,9 +579,9 @@ def fleet_obs_overhead(ctx: BenchContext) -> dict:
     }
 
 
-#: Required kernel-event efficiency on the sparse cohort: the event
-#: engine must process at least this many times fewer events than the
-#: tick loop spends per-patient visits on the same virtual stretch.
+#: Required kernel-event efficiency on the sparse cohort: the per-node
+#: events must be at least this many times fewer than the per-patient
+#: visits the tick loop spends on the same virtual stretch.
 MIN_EVENT_RATIO = 3.0
 
 
@@ -613,38 +592,35 @@ MIN_EVENT_RATIO = 3.0
 def fleet_event_kernel(ctx: BenchContext) -> dict:
     """Benchmark the simulation kernel's two contracts at once.
 
-    First the *lockstep façade*: one cohort runs under the legacy
-    ``engine="ticks"`` loop and under ``engine="kernel"``, and the
-    ``FleetSummary`` bytes must match exactly — a determinism
-    regression fails the bench (and the CI quick gate), not just a
-    unit test.  Then the *sparse cohort*: 90 % of the nodes are
-    delineation-only, uplinking at 10x the base period; the kernel
-    visits them only when they uplink, so its event count must be at
-    least :data:`MIN_EVENT_RATIO` times smaller than the per-patient
-    visits the tick loop would spend (``tick_loop_iterations``) — the
-    ratio the BENCH artifact records.
+    First *clock equivalence*: one cohort runs on the tick loop, then
+    again with every node overridden to the base uplink period, which
+    puts it on per-node kernel events; the ``FleetSummary`` bytes must
+    match exactly — a determinism regression fails the bench (and the
+    CI quick gate), not just a unit test.  Then the *sparse cohort*:
+    90 % of the nodes are delineation-only, uplinking at 10x the base
+    period; the kernel visits them only when they uplink, so its event
+    count must be at least :data:`MIN_EVENT_RATIO` times smaller than
+    the per-patient visits the tick loop would spend
+    (``tick_loop_iterations``) — the ratio the BENCH artifact records.
     """
     from dataclasses import replace
 
-    # --- lockstep façade: byte-equivalence under both engines -------
+    # --- clock equivalence: tick loop == per-node events ------------
     eq_patients = 4 if ctx.quick else 8
     eq_duration = 60.0 if ctx.quick else 120.0
     cohort = make_cohort(CohortConfig(n_patients=eq_patients, seed=7))
     node_config = NodeProxyConfig(stream_telemetry=False)
-    summaries = {}
-    walls = {}
-    for engine in ("ticks", "kernel"):
-        scheduler = FleetScheduler(
-            cohort,
-            SchedulerConfig(duration_s=eq_duration, fs=FS,
-                            engine=engine),
-            node_config=node_config, obs=ctx.obs)
-        report = scheduler.run()
-        summaries[engine] = report.summary.to_json()
-        walls[engine] = report.timings_s["uplink+gateway"]
-    if summaries["kernel"] != summaries["ticks"]:
+    overridden = [replace(p, uplink_period_s=node_config.excerpt_period_s)
+                  for p in cohort]
+    reports = {
+        name: FleetScheduler(
+            members, SchedulerConfig(duration_s=eq_duration, fs=FS),
+            node_config=node_config, obs=ctx.obs).run()
+        for name, members in (("ticks", cohort), ("events", overridden))}
+    if reports["events"].summary.to_json() \
+            != reports["ticks"].summary.to_json():
         raise AssertionError(
-            "kernel lockstep façade diverged from the tick loop — "
+            "per-node kernel events diverged from the tick loop — "
             "simulation determinism regression")
 
     # --- sparse cohort: cost proportional to events, not ticks ------
@@ -679,8 +655,7 @@ def fleet_event_kernel(ctx: BenchContext) -> dict:
         "samples": int((eq_patients * eq_duration * 2
                         + n_patients * duration) * FS) * 3,
         "byte_identical": True,
-        "ticks_wall_s": walls["ticks"],
-        "kernel_wall_s": walls["kernel"],
+        "kernel_wall_s": reports["events"].timings_s["uplink+gateway"],
         "sparse_events": stats["n_events"],
         "tick_loop_iterations": stats["tick_loop_iterations"],
         "event_ratio": ratio,

@@ -30,7 +30,6 @@ import numpy as np
 
 from ..dsp.wavelets import orthogonal_dwt_matrix
 from .encoder import EncodedWindow
-from .fista_kernels import group_shrink_update
 from .matrices import SensingMatrix
 
 
@@ -93,6 +92,26 @@ def group_soft_threshold(rows: np.ndarray, threshold: float) -> np.ndarray:
     return rows * scale
 
 
+def _group_shrink_update(mom: np.ndarray, grad: np.ndarray,
+                         step: float, thresholds: np.ndarray,
+                         old: np.ndarray, ratio: float,
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """One FISTA tail step over a ``(B, n, L)`` batch.
+
+    Shifts ``mom`` by ``step * grad``, group-shrinks each row by its
+    window's threshold (``thresholds`` has shape ``(B,)``) and returns
+    ``(new_alpha, new_momentum)`` with the momentum extrapolation
+    ``new + ratio * (new - old)``.  The byte-equivalence goldens
+    anchor to these exact expressions.
+    """
+    shifted = mom - step * grad
+    norms = np.linalg.norm(shifted, axis=2, keepdims=True)
+    new_alpha = shifted * np.maximum(
+        0.0, 1.0 - thresholds[:, None, None] / np.maximum(norms, 1e-12))
+    new_momentum = new_alpha + ratio * (new_alpha - old)
+    return new_alpha, new_momentum
+
+
 def group_fista(operators: Sequence[np.ndarray], ys: Sequence[np.ndarray],
                 lam: float, n_iter: int = 400,
                 tol: float = 1e-7) -> np.ndarray:
@@ -125,7 +144,7 @@ def group_fista(operators: Sequence[np.ndarray], ys: Sequence[np.ndarray],
             [operators[lead].T @ (operators[lead] @ momentum[:, lead] - ys[lead])
              for lead in range(n_leads)], axis=1)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        new_alpha, new_momentum = group_shrink_update(
+        new_alpha, new_momentum = _group_shrink_update(
             momentum[None], grad[None], step, threshold, alpha[None],
             (t - 1.0) / t_next)
         new_alpha = new_alpha[0]
@@ -155,11 +174,7 @@ def group_fista_batch(operators: Sequence[np.ndarray],
     one-window path to float round-off.  The stacked products run
     through :func:`row_stable_matmul`, so each window's trajectory is
     *bit-identical* under any batch partition — the property the
-    sharded fleet runner's byte-equivalence rests on.  The elementwise
-    tail of each iteration (shift, group shrink, momentum) runs through
-    :func:`~repro.compression.fista_kernels.group_shrink_update`, which
-    compiles to one fused loop when numba is available and is
-    bit-identical to the pure-numpy expressions either way.
+    sharded fleet runner's byte-equivalence rests on.
 
     Args:
         operators: Per-lead measurement operators, each ``(m, n)``.
@@ -199,7 +214,7 @@ def group_fista_batch(operators: Sequence[np.ndarray],
                               out=grad_act[:, :, lead])
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         old = alpha[active]
-        new_alpha, new_momentum = group_shrink_update(
+        new_alpha, new_momentum = _group_shrink_update(
             mom, grad_act, step, lams[active] * step, old,
             (t - 1.0) / t_next)
         momentum[active] = new_momentum

@@ -21,13 +21,26 @@ import numpy as np
 
 from ..dsp.wavelets import orthogonal_dwt_matrix
 from .encoder import EncodedWindow
-from .fista_kernels import soft_shrink_update
 from .matrices import SensingMatrix
 
 
 def soft_threshold(x: np.ndarray, threshold: float) -> np.ndarray:
     """Element-wise soft threshold (the l1 proximal operator)."""
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
+
+
+def _soft_shrink_update(mom: np.ndarray, grad: np.ndarray, step: float,
+                        threshold: float, old: np.ndarray,
+                        ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """One scalar-l1 FISTA tail step over an ``(n,)`` iterate.
+
+    Soft-thresholds ``mom - step * grad`` and returns ``(new_alpha,
+    new_momentum)`` with the momentum extrapolation
+    ``new + ratio * (new - old)``.
+    """
+    new_alpha = soft_threshold(mom - step * grad, threshold)
+    new_momentum = new_alpha + ratio * (new_alpha - old)
+    return new_alpha, new_momentum
 
 
 def fista(A: np.ndarray, y: np.ndarray, lam: float, n_iter: int = 200,
@@ -52,14 +65,10 @@ def fista(A: np.ndarray, y: np.ndarray, lam: float, n_iter: int = 200,
     momentum = alpha.copy()
     t = 1.0
     At = A.T
-    # The elementwise tail (shift, soft threshold, momentum) runs
-    # through the fused kernel — compiled with numba when available,
-    # bit-identical numpy expressions otherwise (see
-    # :mod:`repro.compression.fista_kernels`).
     for _ in range(n_iter):
         grad = At @ (A @ momentum - y)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        new_alpha, momentum = soft_shrink_update(
+        new_alpha, momentum = _soft_shrink_update(
             momentum, grad, step, lam * step, alpha,
             (t - 1.0) / t_next)
         moved = np.linalg.norm(new_alpha - alpha)

@@ -17,8 +17,7 @@ Why the key is a *total* order (no tie-breaking left to the heap):
   constants): governor decisions land before the uplinks they steer,
   link deliveries before the reassembly-expiry sweep that would write
   their gap off, drains before the triage decay that reads them —
-  exactly the phase order of the legacy tick loop, so a kernel run
-  over a lockstep schedule replays the loop byte for byte.
+  exactly the phase order of the tick loop.
 * ``subject`` — the entity (patient id, or ``""`` for fleet-wide
   sweeps); same-priority events at one instant fire in subject order,
   which is shard-layout independent.
@@ -30,11 +29,11 @@ Because every component of the key is assigned deterministically at
 function of the schedule — fuzzed in ``tests/test_fleet_kernel.py`` to
 contain no duplicate keys across governed + impaired cohorts.
 
-:class:`~repro.fleet.FleetScheduler` is the only in-repo client today:
-its ``engine="kernel"`` mode schedules the legacy loop as per-tick
-sweep events (the *lockstep façade*, byte-identical by construction)
-and switches to per-node uplink events when any profile carries an
-``uplink_period_s`` override — cost proportional to events, not ticks.
+:class:`~repro.fleet.FleetScheduler` runs its cohort on this heap when
+any profile carries an ``uplink_period_s`` override: each node uplinks
+on its own event chain, so cost is proportional to events, not ticks.
+A cohort on the base grid runs the scheduler's tick loop instead.
+The journal replayer and the gateway service drive their own kernels.
 """
 
 from __future__ import annotations
@@ -44,23 +43,22 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-#: Phase ranks within one virtual timestamp, mirroring the legacy tick
+#: Phase ranks within one virtual timestamp, mirroring the tick
 #: loop's statement order.  Governor decisions steer the uplinks that
 #: follow them; deliveries land before the expiry sweep that would
 #: write them off; drains feed the triage decay that closes the tick.
+#: Journals persist these values in their stamps, so they never
+#: renumber; only their order matters.
 PRIO_GOVERNOR = 0
-PRIO_ALARM_EARLY = 1
 PRIO_UPLINK = 2
-PRIO_ALARM_LATE = 3
 PRIO_DELIVERY = 4
 PRIO_REASSEMBLY = 5
 PRIO_DRAIN = 6
 PRIO_TRIAGE = 7
 
 #: Every rank the kernel accepts, in firing order.
-PRIORITIES = (PRIO_GOVERNOR, PRIO_ALARM_EARLY, PRIO_UPLINK,
-              PRIO_ALARM_LATE, PRIO_DELIVERY, PRIO_REASSEMBLY,
-              PRIO_DRAIN, PRIO_TRIAGE)
+PRIORITIES = (PRIO_GOVERNOR, PRIO_UPLINK, PRIO_DELIVERY,
+              PRIO_REASSEMBLY, PRIO_DRAIN, PRIO_TRIAGE)
 
 
 class KernelError(ValueError):

@@ -46,8 +46,6 @@ from ..signals.types import MultiLeadEcg
 from .cohort import PatientProfile, synthesize_patient
 from .gateway import Gateway, GatewayConfig, ReconstructedExcerpt
 from .kernel import (
-    PRIO_ALARM_EARLY,
-    PRIO_ALARM_LATE,
     PRIO_DELIVERY,
     PRIO_DRAIN,
     PRIO_GOVERNOR,
@@ -57,12 +55,8 @@ from .kernel import (
     EventKernel,
 )
 from .node_proxy import PACKET_EXCERPT, NodeProxy, NodeProxyConfig, UplinkPacket
-from .transport import BufferPool
 from .triage import FleetSummary, TriageBoard, fleet_summary
-from .wire import ServeMessage, encode_packet_into
-
-#: Simulation clocks :class:`SchedulerConfig.engine` may name.
-ENGINES = ("kernel", "ticks")
+from .wire import ServeMessage, encode_packet
 
 
 class UplinkChannel(Protocol):
@@ -194,15 +188,12 @@ class SchedulerConfig:
             round trip is exact, so results are byte-identical to the
             object path (tested); enabling this in a run proves the
             packets could have crossed a socket.
-        engine: Simulation clock driving the uplink/gateway stretch.
-            ``"kernel"`` (default) runs the event-heap kernel of
-            :mod:`repro.fleet.kernel`: a lockstep sweep schedule when
-            every node shares the base uplink period (byte-identical
-            to the legacy loop by construction), switching to per-node
-            uplink events when any profile carries an
-            ``uplink_period_s`` override.  ``"ticks"`` keeps the
-            legacy per-tick loop — the regression oracle the kernel
-            façade is tested against.
+
+    The simulation clock is not configurable: it follows the cohort.
+    Without per-node ``uplink_period_s`` overrides every node uplinks
+    on the base grid and the per-tick loop visits them all; with any
+    override the run switches to per-node events on the
+    :mod:`repro.fleet.kernel` heap (see :meth:`FleetScheduler.run`).
     """
 
     duration_s: float = 120.0
@@ -210,7 +201,6 @@ class SchedulerConfig:
     workers: int = 0
     drain_per_tick: int | None = None
     wire_loopback: bool = False
-    engine: str = "kernel"
 
 
 @dataclass
@@ -239,11 +229,11 @@ class FleetReport:
     #: Per-patient governors of a governed run (empty when ungoverned);
     #: each carries its decision history and final battery state.
     governors: dict[str, EnergyGovernor] = field(default_factory=dict)
-    #: Simulation-clock accounting: engine name, kernel event counts
-    #: (by event name) and ``tick_loop_iterations`` — the per-patient
-    #: visits the legacy lockstep loop would spend on the same virtual
-    #: stretch, the denominator of the event-efficiency ratio the
-    #: ``fleet-event-kernel`` bench records.
+    #: Simulation-clock accounting: engine name (``"ticks"`` or
+    #: ``"kernel-events"``), kernel event counts (by event name) and
+    #: ``tick_loop_iterations`` — the per-patient visits the tick loop
+    #: spends on the same virtual stretch, the denominator of the
+    #: event-efficiency ratio the ``fleet-event-kernel`` bench records.
     kernel_stats: dict = field(default_factory=dict)
 
     @property
@@ -276,16 +266,16 @@ class _SchedulerMetrics:
 class _RunState:
     """Mutable accounting threaded through one run's phase methods.
 
-    Both engines (tick loop and event kernel) mutate the same state
-    object, so the phase methods they share are engine-agnostic.
+    Both clocks (tick loop and per-node events) mutate the same state
+    object, so the phase methods they share are clock-agnostic.
     """
 
     def __init__(self) -> None:
         self.packets_sent = 0
         self.excerpts: list[ReconstructedExcerpt] = []
-        #: Governor decisions of the current sweep (lockstep engines).
+        #: Governor decisions of the current sweep (tick loop).
         self.decisions: dict[str, GovernorDecision] | None = None
-        #: Per-node pending decisions (event engine: the governor
+        #: Per-node pending decisions (per-node events: the governor
         #: event stores here, the same node's uplink event pops).
         self.node_decisions: dict[str, GovernorDecision] = {}
         #: Packets counted by the last ``scheduler.tick`` trace.
@@ -362,19 +352,11 @@ class FleetScheduler:
             raise ValueError("cohort must not be empty")
         self.cohort = cohort
         self.config = config or SchedulerConfig()
-        if self.config.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.config.engine!r}; "
-                             f"choose from {ENGINES}")
         self.node_config = node_config or NodeProxyConfig()
         #: Per-node uplink periods diverging from the base schedule.
         self._uplink_overrides = {
             p.patient_id: float(p.uplink_period_s) for p in cohort
             if p.uplink_period_s is not None}
-        if self._uplink_overrides and self.config.engine == "ticks":
-            raise ValueError(
-                "per-node uplink_period_s overrides need the event "
-                "kernel; the tick loop visits every node every tick "
-                "(use engine='kernel')")
         self.obs = obs
         self._obs_m = _SchedulerMetrics(obs) if obs is not None else None
         self.gateway = gateway or Gateway(GatewayConfig(), obs=obs)
@@ -389,10 +371,6 @@ class FleetScheduler:
         self.acuity_override = acuity_override
         self.governors: dict[str, EnergyGovernor] = {}
         self._batch_encoders: dict[int, BatchExcerptEncoder] = {}
-        # Scratch for the wire-loopback encode path: frames are built
-        # in a leased pooled buffer instead of a fresh bytes object
-        # per packet (see repro.fleet.transport.BufferPool).
-        self._wire_pool = BufferPool()
         #: Uplink packets offered per patient (before any channel
         #: impairment) — the per-patient split of ``packets_sent``,
         #: which shard workers report row by row.
@@ -451,17 +429,18 @@ class FleetScheduler:
                 for pid, governor in self.governors.items():
                     governor.on_decision = self._governor_observer(pid)
 
-        # Phase 2 — uplink, gateway drain and triage on the configured
-        # simulation clock.  Alarm packets are *built at the sweep that
-        # uplinks them* (early alarms before the excerpts, late ones
-        # after), so each node's sequence numbers follow timestamp
-        # order and the gateway's seq-ordered reassembly restores the
-        # timeline.
+        # Phase 2 — uplink, gateway drain and triage.  A cohort on the
+        # base uplink grid runs the tick loop; per-node period
+        # overrides need per-node events.  Alarm packets are *built at
+        # the sweep that uplinks them* (early alarms before the
+        # excerpts, late ones after), so each node's sequence numbers
+        # follow timestamp order and the gateway's seq-ordered
+        # reassembly restores the timeline.
         state = _RunState()
-        if cfg.engine == "ticks":
-            self._run_ticks(results, state)
-        else:
+        if self._uplink_overrides:
             self._run_kernel(results, state)
+        else:
+            self._run_ticks(results, state)
 
         if self.link is not None:  # packets still in flight land now
             for packet in self.link.drain():
@@ -528,7 +507,7 @@ class FleetScheduler:
         governor dwell times go out as ``mode:<name>`` keys *in
         insertion order* (the codec preserves it), so the fleet-wide
         mode-seconds fold downstream sums in the same order as the
-        in-process engine — float-exactly.
+        in-process run — float-exactly.
         """
         report = reports[pid]
         governor = self.governors.get(pid)
@@ -560,10 +539,9 @@ class FleetScheduler:
             info={"governed": "1" if governor is not None else "0"})
 
     # ------------------------------------------------------------------
-    # Phase methods shared by both engines.  The tick loop calls them
-    # inline; the kernel schedules them as events — same code, same
-    # per-timestamp order, so the lockstep façade is byte-identical to
-    # the loop by construction.
+    # Phase methods shared by both clocks.  The tick loop calls them
+    # inline; the per-node kernel schedules them as events in the same
+    # per-timestamp phase order.
     # ------------------------------------------------------------------
 
     def _set_vt(self, now_s: float) -> None:
@@ -621,21 +599,8 @@ class FleetScheduler:
                 n_sent=state.packets_sent - state.last_traced_sent)
         state.last_traced_sent = state.packets_sent
 
-    def _send_overflow_alarms(self, alarms_by_tick: dict[int, list],
-                              n_ticks: int, state: _RunState) -> None:
-        """Uplink alarm buckets past the last tick before final drain.
-
-        Buckets past ``n_ticks`` exist only when the run is shorter
-        than one uplink period (``n_ticks == 0``); sending them at end
-        of run means no alarm is silently lost.
-        """
-        for tick in sorted(alarms_by_tick):
-            if tick > n_ticks:
-                state.packets_sent += self._send_alarms(
-                    alarms_by_tick[tick], self.config.duration_s)
-
     def _run_ticks(self, results: list[tuple], state: _RunState) -> None:
-        """Legacy lockstep loop: every patient visited every tick."""
+        """Lockstep loop: every patient visited every tick."""
         cfg = self.config
         proxies = [r[0] for r in results]
         records = [r[1] for r in results]
@@ -661,7 +626,13 @@ class FleetScheduler:
             self._phase_reassembly(now)
             self._phase_drain(state)
             self._phase_triage(now, state)
-        self._send_overflow_alarms(alarms_by_tick, n_ticks, state)
+        # Buckets past ``n_ticks`` exist only when the run is shorter
+        # than one uplink period (``n_ticks == 0``); sending them at
+        # end of run means no alarm is silently lost.
+        for tick in sorted(alarms_by_tick):
+            if tick > n_ticks:
+                state.packets_sent += self._send_alarms(
+                    alarms_by_tick[tick], cfg.duration_s)
         state.kernel_stats = {
             "engine": "ticks",
             "n_events": 0,
@@ -669,115 +640,26 @@ class FleetScheduler:
         }
 
     def _run_kernel(self, results: list[tuple], state: _RunState) -> None:
-        """Phase 2 on the event-heap kernel of :mod:`.kernel`.
+        """Phase 2 as per-node events on the heap of :mod:`.kernel`.
 
-        Without per-node period overrides the schedule is the
-        *lockstep façade*: one sweep event per legacy tick phase,
-        firing in the exact statement order of :meth:`_run_ticks`
-        (same code, same order — byte-identical by construction).
-        With overrides each node gets its own uplink (and governor)
-        event chain at its own period while the gateway-side sweeps
-        stay on the base grid, so cost is proportional to events
-        rather than ticks × cohort.
+        Each node gets its own uplink (and governor) event chain at its
+        own period while the gateway-side sweeps stay on the base grid,
+        so cost is proportional to events rather than ticks × cohort.
         """
         cfg = self.config
         kernel = EventKernel()
-        period = self.node_config.excerpt_period_s
-        n_ticks = int(cfg.duration_s // period)
-        if self._uplink_overrides:
-            overflow = self._schedule_node_events(kernel, results, state)
-            kernel.run()
-            if overflow:
-                state.packets_sent += self._send_alarms(
-                    overflow, cfg.duration_s)
-            engine = "kernel-events"
-        else:
-            alarms_by_tick = self._schedule_lockstep(
-                kernel, results, state, period, n_ticks)
-            kernel.run()
-            self._send_overflow_alarms(alarms_by_tick, n_ticks, state)
-            engine = "kernel-lockstep"
+        n_ticks = int(cfg.duration_s // self.node_config.excerpt_period_s)
+        overflow = self._schedule_node_events(kernel, results, state)
+        kernel.run()
+        if overflow:
+            state.packets_sent += self._send_alarms(overflow,
+                                                    cfg.duration_s)
         state.kernel_stats = {
-            "engine": engine,
+            "engine": "kernel-events",
             "n_events": kernel.n_processed,
             "by_name": dict(sorted(kernel.counts_by_name.items())),
             "tick_loop_iterations": n_ticks * len(self.cohort),
         }
-
-    def _schedule_lockstep(self, kernel: EventKernel,
-                           results: list[tuple], state: _RunState,
-                           period: float, n_ticks: int,
-                           ) -> dict[int, list]:
-        """Schedule the legacy tick grid as per-phase sweep events."""
-        proxies = [r[0] for r in results]
-        records = [r[1] for r in results]
-        alarms_by_tick = self._bucket_alarms(results, period, n_ticks)
-        for tick in range(1, n_ticks + 1):
-            now = tick * period
-            bucket = alarms_by_tick.get(tick, [])
-            self._schedule_tick_sweeps(kernel, tick, now, proxies,
-                                       records, bucket, state)
-        return alarms_by_tick
-
-    def _schedule_tick_sweeps(self, kernel: EventKernel, tick: int,
-                              now: float, proxies: list[NodeProxy],
-                              records: list[MultiLeadEcg],
-                              bucket: list[tuple],
-                              state: _RunState) -> None:
-        """One lockstep tick as events: phase order via priorities."""
-        early = [a for a in bucket if a[2] < now]
-        late = [a for a in bucket if a[2] >= now]
-
-        def governors() -> None:
-            self._set_vt(now)
-            self._phase_governors(now, state)
-
-        def alarms_early() -> None:
-            self._set_vt(now)
-            self._phase_alarms(early, now, state)
-
-        def uplinks() -> None:
-            self._set_vt(now)
-            self._phase_excerpts(proxies, records, tick - 1, now, state,
-                                 state.decisions)
-
-        def alarms_late() -> None:
-            self._set_vt(now)
-            self._phase_alarms(late, now, state)
-
-        def delivery() -> None:
-            self._set_vt(now)
-            self._deliver_due(now)
-
-        def reassembly() -> None:
-            self._set_vt(now)
-            self._phase_reassembly(now)
-
-        def drain() -> None:
-            self._set_vt(now)
-            self._phase_drain(state)
-
-        def triage() -> None:
-            self._set_vt(now)
-            self._phase_triage(now, state)
-
-        if self.governors:
-            kernel.schedule(now, PRIO_GOVERNOR, "sweep.governors",
-                            governors)
-        if early:
-            kernel.schedule(now, PRIO_ALARM_EARLY, "sweep.alarms_early",
-                            alarms_early)
-        kernel.schedule(now, PRIO_UPLINK, "sweep.uplinks", uplinks)
-        if late:
-            kernel.schedule(now, PRIO_ALARM_LATE, "sweep.alarms_late",
-                            alarms_late)
-        if self.link is not None:
-            kernel.schedule(now, PRIO_DELIVERY, "link.due_sweep",
-                            delivery)
-        kernel.schedule(now, PRIO_REASSEMBLY, "gateway.expire",
-                        reassembly)
-        kernel.schedule(now, PRIO_DRAIN, "gateway.drain", drain)
-        kernel.schedule(now, PRIO_TRIAGE, "triage.sweep", triage)
 
     def _schedule_node_events(self, kernel: EventKernel,
                               results: list[tuple], state: _RunState,
@@ -824,7 +706,7 @@ class FleetScheduler:
         """Schedule one node's uplink (and governor) event at ``now``.
 
         The governor decision is its own event one priority rank ahead
-        of the uplink, mirroring the lockstep phase order: decisions at
+        of the uplink, mirroring the tick loop's phase order: decisions at
         a timestamp always land before the uplinks they steer.
         """
         pid = proxy.profile.patient_id
@@ -959,7 +841,7 @@ class FleetScheduler:
                     t0: float) -> GovernorDecision:
         """One patient's governor decision for the interval from ``t0``.
 
-        Shared by the cohort-wide lockstep sweep and the per-node
+        Shared by the tick loop's cohort-wide sweep and the per-node
         governor events of the kernel's heterogeneous schedule (where
         ``period_s`` is the node's own uplink period).
         """
@@ -1124,13 +1006,7 @@ class FleetScheduler:
         gateway would see.
         """
         if self.config.wire_loopback:
-            # Encode into a leased pooled buffer: the gateway decodes
-            # (copying, since the buffer is writable and recycled) and
-            # journals synchronously, so nothing aliases the lease
-            # after ingest returns.
-            with self._wire_pool.lease() as buf:
-                encode_packet_into(packet, buf)
-                self.gateway.ingest(buf)
+            self.gateway.ingest(encode_packet(packet))
         else:
             self.gateway.ingest(packet)
 

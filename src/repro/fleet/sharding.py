@@ -60,7 +60,6 @@ from .scheduler import (
     SchedulerConfig,
     UplinkChannel,
 )
-from .transport import make_transport
 from .triage import FleetSummary, PatientTriage, TriageBoard, fleet_summary
 from .wire import WireFormatError, _pack_str, _unpack_str
 
@@ -351,16 +350,12 @@ def encode_shard_result(result: ShardResult) -> bytes:
     return b"".join(parts)
 
 
-def decode_shard_result(data: bytes | bytearray | memoryview, *,
-                        copy: bool = True) -> ShardResult:
+def decode_shard_result(data: bytes | bytearray | memoryview,
+                        ) -> ShardResult:
     """Parse a shard blob back into a :class:`ShardResult`.
 
-    By default SNR buffers are boxed into owned ``list[float]`` (the
-    live-gateway channel shape).  With ``copy=False`` they stay
-    read-only float64 views aliasing ``data`` — the zero-copy merge
-    path, where the caller guarantees the buffer (e.g. a mapped
-    shared-memory segment) outlives the fold and materializes any
-    retained rows afterwards (see :meth:`ShardedFleetRunner.run`).
+    SNR buffers are boxed into owned ``list[float]`` (the live-gateway
+    channel shape), so the result never aliases ``data``.
 
     Raises:
         WireFormatError: Bad magic, version mismatch or truncation.
@@ -408,7 +403,7 @@ def decode_shard_result(data: bytes | bytearray | memoryview, *,
                     n_duplicates=n_duplicates,
                     n_out_of_order=n_out_of_order, n_gaps=n_gaps,
                     n_late_recovered=n_late_recovered,
-                    snrs=([float(s) for s in snrs] if copy else snrs),
+                    snrs=[float(s) for s in snrs],
                     n_telemetry=n_telemetry, last_mode=last_mode,
                     last_soc=last_soc)
             else:
@@ -626,17 +621,12 @@ def _run_shard(shard_index: int, profiles: list[PatientProfile],
                hook_factory: ShardHookFactory | None,
                af_detector: AfDetector | None,
                obs_config: ObsConfig | None = None,
-               journal_config=None, n_shards: int = 1,
-               transport_spec: str = "pickle") -> bytes:
-    """Worker body: run one shard's scheduler, publish its wire blob.
+               journal_config=None, n_shards: int = 1) -> bytes:
+    """Worker body: run one shard's scheduler, return its wire blob.
 
     Module-level so a :class:`~concurrent.futures.ProcessPoolExecutor`
     can pickle the call; every argument is a plain dataclass (or a
-    picklable callable).  The return value is a transport *handle*
-    (:mod:`repro.fleet.transport`): with the pickle backend it inlines
-    the blob, with the shared-memory backend the blob is parked in
-    segment ``<prefix>.s<shard_index>`` and only the ~40-byte handle
-    crosses the process boundary.
+    picklable callable), every return crosses the boundary as bytes.
     The live :class:`~repro.obs.Observability` bundle is built *here*
     from the picklable ``obs_config`` and returns as a JSON snapshot in
     the blob's v2 trailer.
@@ -732,9 +722,7 @@ def _run_shard(shard_index: int, profiles: list[PatientProfile],
         timings_s=dict(fleet.timings_s),
         rows=rows,
         obs_bundle=(obs.snapshot_bundle() if obs is not None else None))
-    transport = make_transport(transport_spec)
-    return transport.publish(encode_shard_result(result),
-                             f"s{shard_index}")
+    return encode_shard_result(result)
 
 
 class ShardedFleetRunner:
@@ -762,11 +750,6 @@ class ShardedFleetRunner:
             per-shard journal (``journal.for_shard(i)``); replaying all
             N journals merged reproduces this run's summary
             byte-identically (see :mod:`repro.fleet.journal`).
-        transport: Shard-result fabric spec
-            (:func:`~repro.fleet.transport.make_transport`):
-            ``"auto"`` (shared memory where available, else pickle),
-            ``"pickle"`` or ``"shared_memory"``.  The choice never
-            affects the merged summary — only how the blobs travel.
     """
 
     def __init__(self, cohort: list[PatientProfile], n_shards: int = 4,
@@ -777,8 +760,7 @@ class ShardedFleetRunner:
                  hook_factory: ShardHookFactory | None = None,
                  af_detector: AfDetector | None = None,
                  obs_config: ObsConfig | None = None,
-                 journal=None, transport: str = "auto") -> None:
-        self.transport = transport
+                 journal=None) -> None:
         self.shards = partition_cohort(cohort, n_shards)
         self.cohort = list(cohort)
         self.config = config or SchedulerConfig()
@@ -796,67 +778,28 @@ class ShardedFleetRunner:
         return len(self.shards)
 
     def run(self) -> ShardedFleetReport:
-        """Run every shard, decode the blobs and merge in cohort order.
-
-        Shard results come home over the configured
-        :class:`~repro.fleet.transport.ShardTransport`: the parent
-        pre-registers every expected segment tag, maps each published
-        blob read-only, decodes it with ``copy=False`` (SNR buffers
-        stay views into the segment for the merge fold), then
-        *materializes* the retained per-patient rows and unlinks every
-        segment in a ``finally`` — so a worker crash or a
-        ``KeyboardInterrupt`` mid-run leaves no orphan segment behind.
-        """
+        """Run every shard, decode the blobs and merge in cohort order."""
         t_start = time.perf_counter()
-        transport = make_transport(self.transport)
         tasks = [(i, profiles, self.config, self.node_config,
                   self.gateway_config, self.master_seed,
                   self.hook_factory, self.af_detector, self.obs_config,
-                  self.journal, len(self.shards), transport.spec)
+                  self.journal, len(self.shards))
                  for i, profiles in enumerate(self.shards)]
-        try:
-            for i in range(len(tasks)):
-                transport.expect(f"s{i}")
-            if len(tasks) == 1:
-                handles = [_run_shard(*tasks[0])]
-            else:
-                with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-                    futures = [pool.submit(_run_shard, *task)
-                               for task in tasks]
-                    handles = [future.result() for future in futures]
-            views = [transport.open(handle) for handle in handles]
-            results = [decode_shard_result(view.view, copy=False)
-                       for view in views]
-            t_merge = time.perf_counter()
-            report = self._merge(results)
-            if self.obs_config is not None:
-                report.obs_bundle = self._merge_obs(
-                    results, time.perf_counter() - t_merge)
-            self._materialize(report)
-            del results
-            for view in views:
-                view.release()
-            del views
-        finally:
-            transport.close()
+        if len(tasks) == 1:
+            blobs = [_run_shard(*tasks[0])]
+        else:
+            with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+                futures = [pool.submit(_run_shard, *task)
+                           for task in tasks]
+                blobs = [future.result() for future in futures]
+        results = [decode_shard_result(blob) for blob in blobs]
+        t_merge = time.perf_counter()
+        report = self._merge(results)
+        if self.obs_config is not None:
+            report.obs_bundle = self._merge_obs(
+                results, time.perf_counter() - t_merge)
         report.timings_s["total"] = time.perf_counter() - t_start
         return report
-
-    @staticmethod
-    def _materialize(report: ShardedFleetReport) -> None:
-        """Replace segment-aliasing SNR views with owned lists.
-
-        The merge fold reads the views zero-copy; the rows *retained*
-        on the report (what the campaign's shard-backed mode consumes)
-        must survive the segment unlink, so their buffers are boxed
-        back into the live-gateway ``list[float]`` shape here — one
-        copy, after the fold, instead of one per decode.
-        """
-        for row in report.rows.values():
-            channel = row.channel
-            if channel is not None and isinstance(channel.snrs,
-                                                  np.ndarray):
-                channel.snrs = channel.snrs.tolist()
 
     def _merge_obs(self, results: list[ShardResult],
                    merge_seconds: float) -> dict:

@@ -47,18 +47,17 @@ Decoding is defensive: a wrong magic, unknown version, truncated
 buffer or trailing garbage raises :class:`WireFormatError` instead of
 yielding a corrupt packet.
 
-**Zero-copy discipline** (see ``docs/transport.md``): decoded arrays
-are always read-only, and when the source buffer is immutable
-``bytes`` (or a read-only view of one —
-:func:`repro.fleet.transport.is_aliasable`) they *alias* the source
-instead of copying it, so a gateway drain reads measurement vectors
-straight out of the frame it ingested.  Mutable sources
-(``bytearray``, socket scratch) are still copied: no later mutation
-can ever corrupt a held packet.  Callers owning a stable buffer (a
-mapped shared-memory segment) may force views with ``copy=False``.
-On the encode side, :func:`encode_packet_into` appends the frame to a
-caller-provided (pooled) ``bytearray`` without materialising
-intermediate ``tobytes()`` copies.
+**Aliasing rule:** decoders alias only immutable ``bytes``; writable
+buffers are copied.  Decoded arrays are always read-only, and when
+the source buffer is immutable ``bytes`` (or a read-only view of one —
+:func:`is_aliasable`) they *alias* the source instead of copying it,
+so a gateway drain reads measurement vectors straight out of the
+frame it ingested.  Mutable sources (``bytearray``, socket scratch)
+are copied: no later mutation can ever corrupt a held packet.
+Callers owning a buffer they will not mutate may force views with
+``copy=False``.  On the encode side, :func:`encode_packet_into`
+appends the frame to a caller-provided ``bytearray`` without
+materialising intermediate ``tobytes()`` copies.
 
 On top of the packet codec this module also defines the **stream
 layer** the socket gateway service (:mod:`repro.fleet.serve`) speaks:
@@ -80,7 +79,6 @@ import numpy as np
 
 from ..compression.encoder import EncodedWindow
 from .node_proxy import UplinkPacket
-from .transport import is_aliasable
 
 #: First bytes of every version-1 packet frame.
 WIRE_MAGIC = b"RPW1"
@@ -137,6 +135,22 @@ def _append_array(out: bytearray, array: np.ndarray) -> None:
     out += memoryview(array).cast("B")
 
 
+def is_aliasable(data) -> bool:
+    """May a decoder safely return views into ``data`` instead of copies?
+
+    True only when the backing storage is immutable ``bytes`` — either
+    ``data`` itself or the exporter behind a read-only
+    :class:`memoryview`.  A ``bytearray`` (or any writable buffer) can
+    be mutated or resized after decode, which would silently corrupt or
+    invalidate every aliasing view, so those must be copied.
+    """
+    if isinstance(data, bytes):
+        return True
+    if isinstance(data, memoryview):
+        return data.readonly and isinstance(data.obj, bytes)
+    return False
+
+
 def _unpack_buffer(buf: memoryview, offset: int, count: int,
                    copy: bool = True) -> tuple[np.ndarray, int]:
     """Read a dtype token plus ``count`` items of raw buffer.
@@ -171,11 +185,10 @@ def encode_packet(packet: UplinkPacket) -> bytes:
 def encode_packet_into(packet: UplinkPacket, out: bytearray) -> int:
     """Append one packet's version-1 frame to ``out``.
 
-    The pooled-buffer encode path
-    (:class:`~repro.fleet.transport.BufferPool`): measurement and
-    reference buffers are appended straight from their numpy memory —
-    no intermediate ``tobytes()`` copies, no allocation beyond the
-    growth of ``out`` itself.  Returns the number of bytes appended.
+    Measurement and reference buffers are appended straight from their
+    numpy memory — no intermediate ``tobytes()`` copies, no allocation
+    beyond the growth of ``out`` itself.  Returns the number of bytes
+    appended.
 
     Raises:
         WireFormatError: A frame's window count contradicts the
@@ -221,11 +234,11 @@ def decode_packet(data: bytes | bytearray | memoryview, *,
 
     Decoded arrays are always read-only.  With ``copy=None`` (the
     default) they alias ``data`` when that is safe —
-    :func:`~repro.fleet.transport.is_aliasable` backing, i.e. immutable
-    ``bytes`` — and are copied otherwise, so mutating a ``bytearray``
-    source after decode can never corrupt the packet.  ``copy=False``
-    forces views for callers owning a stable buffer (e.g. a mapped
-    shared-memory segment); ``copy=True`` forces owned arrays.
+    :func:`is_aliasable` backing, i.e. immutable ``bytes`` — and are
+    copied otherwise, so mutating a ``bytearray`` source after decode
+    can never corrupt the packet.  ``copy=False`` forces views for
+    callers owning a buffer they will not mutate; ``copy=True`` forces
+    owned arrays.
 
     Raises:
         WireFormatError: Wrong magic, unsupported version, truncation,

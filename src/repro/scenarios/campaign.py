@@ -25,7 +25,6 @@ the signal itself.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from collections import Counter
@@ -46,7 +45,6 @@ from ..fleet.journal import (
 )
 from ..fleet.node_proxy import NodeProxyConfig
 from ..fleet.scheduler import FleetReport, FleetScheduler, SchedulerConfig
-from ..fleet.sharding import PerPatientLink, ShardedFleetRunner, ShardHooks
 from ..fleet.triage import STATE_ALERT, STATES
 from ..obs import Observability, SCOPE_SHARD
 from ..power.battery import Battery, BatteryModel
@@ -97,15 +95,6 @@ class CampaignConfig:
             Reports are byte-identical across any worker count >= 1
             (tested); they differ from the joint path only in the
             (equally valid) per-patient channel draws.
-        shard_workers: Opt-in shard-backed sweep: each scenario runs
-            once through a :class:`~repro.fleet.ShardedFleetRunner`
-            with this many worker processes, per-patient links seeded
-            exactly like the decomposed path, and the per-patient shard
-            rows are folded by the same merge machinery.  Byte-identical
-            to the ``patient_workers`` path (tested) while running whole
-            patient stripes per process instead of one ``(patient,
-            scenario)`` unit per task.  Mutually exclusive with
-            ``patient_workers``.
         governed: Run every node under a per-patient
             :class:`~repro.power.EnergyGovernor` (closed-loop mode
             adaptation); enables the ``battery_drain`` /
@@ -123,12 +112,6 @@ class CampaignConfig:
             lockstep and exercises nothing.
         governor_min_dwell_s: Governor dwell damping; 0 lets a short
             campaign switch every tick.
-        scheduler_engine: Simulation engine of every per-scenario
-            :class:`~repro.fleet.FleetScheduler` (``"kernel"`` — the
-            event-heap lockstep façade — or the legacy ``"ticks"``
-            loop).  The two are byte-identical by contract (tested);
-            the knob exists so that contract can be asserted at
-            campaign level against the pinned PR-2 goldens.
         journal_dir: Opt-in durable packet log.  When set, every
             scenario's gateway traffic is journaled to
             ``{journal_dir}/{scenario}-NNNNNN.rpj`` segments
@@ -138,8 +121,7 @@ class CampaignConfig:
             :class:`~repro.fleet.JournalReplayer` instead of
             re-simulating them, byte-identical by the replay
             determinism contract.  Joint single-process path only —
-            mutually exclusive with ``patient_workers`` and
-            ``shard_workers``.
+            mutually exclusive with ``patient_workers``.
     """
 
     n_patients: int = 20
@@ -152,13 +134,11 @@ class CampaignConfig:
     excerpt_period_s: float = 60.0
     stream_telemetry: bool = False
     patient_workers: int = 0
-    shard_workers: int = 0
     governed: bool = False
     governor_capacity_mah: float = 0.05
     governor_initial_soc: float = 0.9
     governor_soc_span: float = 0.5
     governor_min_dwell_s: float = 0.0
-    scheduler_engine: str = "kernel"
     journal_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -168,19 +148,14 @@ class CampaignConfig:
             raise ValueError("n_sentinels must be within the cohort")
         if self.patient_workers < 0:
             raise ValueError("patient_workers must be >= 0")
-        if self.shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0")
-        if self.patient_workers and self.shard_workers:
-            raise ValueError("patient_workers and shard_workers are "
-                             "mutually exclusive sweep modes")
         if self.journal_dir is not None:
             if not self.journal_dir:
                 raise ValueError("journal_dir must be a non-empty path")
-            if self.patient_workers or self.shard_workers:
+            if self.patient_workers:
                 raise ValueError(
                     "journal_dir journals the joint single-process "
                     "path; it is mutually exclusive with "
-                    "patient_workers and shard_workers")
+                    "patient_workers")
         if self.governor_capacity_mah <= 0:
             raise ValueError("governor_capacity_mah must be positive")
         if not 0 < self.governor_initial_soc <= 1:
@@ -362,10 +337,9 @@ def _patient_link(spec: ScenarioSpec, master_seed: int,
                   patient_id: str) -> ImpairedLink:
     """One patient's channel model, seeded per patient.
 
-    The single seed-derivation site shared by the decomposed
-    (``patient_workers``) and shard-backed (``shard_workers``) sweeps —
-    their byte-identity depends on both drawing from exactly these
-    streams.
+    The decomposed (``patient_workers``) sweep's link seed derivation:
+    a pure function of the master seed, scenario and patient id, so any
+    worker assignment draws the same stream.
     """
     return ImpairedLink(spec.link,
                         seed=derive_seed(master_seed, spec.name,
@@ -375,8 +349,8 @@ def _patient_link(spec: ScenarioSpec, master_seed: int,
 def _fault_injector(spec: ScenarioSpec, master_seed: int):
     """Per-patient fault injection hook with seed-derived streams.
 
-    Shared by both sweep modes for the same reason as
-    :func:`_patient_link`.
+    Shared by the joint and decomposed paths; each patient's stream is
+    derived from its id, never from its position in the cohort.
     """
 
     def inject(prof: PatientProfile, record: MultiLeadEcg) -> MultiLeadEcg:
@@ -405,8 +379,7 @@ def _patient_unit(spec: ScenarioSpec, profile: PatientProfile,
     factory, extra_load, acuity_override = _governed_kit(spec, config)
     scheduler = FleetScheduler(
         [profile],
-        SchedulerConfig(duration_s=config.duration_s, fs=config.fs,
-                        engine=config.scheduler_engine),
+        SchedulerConfig(duration_s=config.duration_s, fs=config.fs),
         node_config=NodeProxyConfig(
             excerpt_period_s=config.excerpt_period_s,
             stream_telemetry=config.stream_telemetry),
@@ -446,34 +419,6 @@ def _patient_unit(spec: ScenarioSpec, profile: PatientProfile,
         final_soc=(governor.battery.soc
                    if governor is not None else float("nan")),
         telemetry_packets=channel.n_telemetry if channel else 0,
-    )
-
-
-def _scenario_shard_hooks(spec: ScenarioSpec, config: CampaignConfig,
-                          profiles: list[PatientProfile],
-                          master_seed: int) -> ShardHooks:
-    """Shard wiring of one scenario: built inside each worker process.
-
-    Module-level (pickled as a :func:`functools.partial` over ``spec``
-    and ``config``) so the :class:`~repro.fleet.ShardedFleetRunner` can
-    ship it to workers.  Every random stream comes from the *same*
-    per-patient derivation sites as the decomposed path
-    (:func:`_patient_link`, :func:`_fault_injector`), which is what
-    makes the two sweep modes byte-identical by construction.
-    """
-
-    def link_for(patient_id: str):
-        """One independent channel per patient, decomposed-path seeds."""
-        return _patient_link(spec, master_seed, patient_id)
-
-    factory, extra_load, acuity_override = _governed_kit(spec, config)
-    return ShardHooks(
-        link=PerPatientLink(link_for) if spec.link.impaired else None,
-        record_transform=(_fault_injector(spec, master_seed)
-                          if spec.signal_faults else None),
-        governor_factory=factory,
-        extra_load=extra_load,
-        acuity_override=acuity_override,
     )
 
 
@@ -579,8 +524,8 @@ class CampaignRunner:
             a seed-derived corpus when omitted.
         obs: Optional observability bundle.  The joint in-process path
             threads it through the gateway/scheduler/governor hot
-            joints; the decomposed and sharded paths keep it
-            parent-side (workers are separate processes) where it
+            joints; the decomposed path keeps it parent-side
+            (workers are separate processes) where it
             records per-scenario and per-unit wall-time gauges.
     """
 
@@ -647,9 +592,7 @@ class CampaignRunner:
         cohort = self.cohort()
         report = CampaignReport(config=cfg)
         clean_p50: float | None = None
-        if cfg.shard_workers >= 1:
-            outcomes = self._run_sharded(cohort, detector)
-        elif cfg.patient_workers >= 1:
+        if cfg.patient_workers >= 1:
             outcomes = self._run_decomposed(cohort, detector)
         else:
             outcomes = None
@@ -725,75 +668,6 @@ class CampaignRunner:
             for future in as_completed(futures):
                 outcome = future.result()
                 outcomes[(outcome.patient_id, outcome.scenario)] = outcome
-        return outcomes
-
-    def _run_sharded(self, cohort: list[PatientProfile],
-                     detector: AfDetector,
-                     ) -> dict[tuple[str, str], _PatientOutcome]:
-        """Shard-backed sweep: one sharded fleet run per scenario.
-
-        Each scenario's cohort is striped across ``shard_workers``
-        processes by a :class:`~repro.fleet.ShardedFleetRunner`; the
-        decoded per-patient shard rows become the same
-        :class:`_PatientOutcome` units the decomposed path produces, so
-        :meth:`_merge_scenario` is reused unchanged.  Per-patient link
-        and fault seeds match the decomposed path, making the two modes
-        byte-identical (tested).  The per-shard gateway's queue-drop
-        counter has no per-patient attribution; it is carried on the
-        scenario's first cohort row (zero in practice — the merge only
-        ever sums it).
-        """
-        cfg = self.config
-        outcomes: dict[tuple[str, str], _PatientOutcome] = {}
-        for spec in self.scenarios:
-            runner = ShardedFleetRunner(
-                cohort,
-                n_shards=cfg.shard_workers,
-                config=SchedulerConfig(duration_s=cfg.duration_s,
-                                       fs=cfg.fs,
-                                       engine=cfg.scheduler_engine),
-                node_config=NodeProxyConfig(
-                    excerpt_period_s=cfg.excerpt_period_s,
-                    stream_telemetry=cfg.stream_telemetry),
-                gateway_config=GatewayConfig(n_iter=cfg.gateway_n_iter),
-                master_seed=cfg.master_seed,
-                hook_factory=functools.partial(_scenario_shard_hooks,
-                                               spec, cfg),
-                af_detector=detector,
-            )
-            fleet = runner.run()
-            per_row_runtime = (fleet.timings_s.get("total", 0.0)
-                               / max(1, len(cohort)))
-            for i, profile in enumerate(cohort):
-                row = fleet.rows[profile.patient_id]
-                channel = row.channel
-                outcomes[(profile.patient_id, spec.name)] = \
-                    _PatientOutcome(
-                        patient_id=profile.patient_id,
-                        scenario=spec.name,
-                        packets_sent=row.n_sent,
-                        packets_reconstructed=row.n_reconstructed,
-                        node_alarms=row.n_node_alarms,
-                        confirmed_alarms=(channel.n_confirmed
-                                          if channel else 0),
-                        payload_bits=(channel.payload_bits
-                                      if channel else 0),
-                        duplicates=(channel.n_duplicates
-                                    if channel else 0),
-                        gaps=channel.n_gaps if channel else 0,
-                        queue_dropped=(fleet.dropped_packets
-                                       if i == 0 else 0),
-                        snrs=tuple(channel.snrs) if channel else (),
-                        state=row.triage.state,
-                        stale=row.triage.stale,
-                        link_stats=dict(row.link_stats),
-                        runtime_s=per_row_runtime,
-                        mode_seconds=dict(row.mode_seconds),
-                        governor_switches=row.governor_switches,
-                        final_soc=row.final_soc,
-                        telemetry_packets=(channel.n_telemetry
-                                           if channel else 0),
-                    )
         return outcomes
 
     def _merge_scenario(self, spec: ScenarioSpec,
@@ -908,8 +782,7 @@ class CampaignRunner:
         scheduler = FleetScheduler(
             cohort,
             SchedulerConfig(duration_s=cfg.duration_s, fs=cfg.fs,
-                            workers=cfg.workers,
-                            engine=cfg.scheduler_engine),
+                            workers=cfg.workers),
             node_config=NodeProxyConfig(
                 excerpt_period_s=cfg.excerpt_period_s,
                 stream_telemetry=cfg.stream_telemetry),
@@ -1067,7 +940,7 @@ class CampaignRunner:
             # The joint path runs the whole cohort in one scheduler
             # loop, so the per-unit split is an even share of the
             # scenario wall time (exact attribution needs the
-            # decomposed or sharded path).
+            # decomposed path).
             unit_runtimes_s={
                 p.patient_id: runtime / max(1, summary.n_patients)
                 for p in fleet.profiles},

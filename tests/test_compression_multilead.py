@@ -17,6 +17,7 @@ from repro.compression import (
     reconstruction_snr_db,
     row_stable_matmul,
 )
+from repro.compression.multilead import _group_shrink_update
 
 
 class TestGroupSoftThreshold:
@@ -44,7 +45,165 @@ class TestGroupSoftThreshold:
                            rows / np.linalg.norm(rows))
 
 
+def _batch(rng, n_batch, n, n_leads):
+    return rng.standard_normal((n_batch, n, n_leads))
+
+
+def _per_window_reference(mom, grad, step, thresholds, old, ratio):
+    """The batched tail step spelled window by window with the prox."""
+    alpha = np.stack([
+        group_soft_threshold(mom[b] - step * grad[b], thresholds[b])
+        for b in range(mom.shape[0])])
+    return alpha, alpha + ratio * (alpha - old)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestGroupShrinkUpdate:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_batch=st.integers(1, 4), n=st.integers(1, 24),
+           n_leads=st.integers(1, 7), step=finite, ratio=finite)
+    def test_matches_reference_bitwise(self, seed, n_batch, n, n_leads,
+                                       step, ratio):
+        rng = np.random.default_rng(seed)
+        mom = _batch(rng, n_batch, n, n_leads)
+        grad = _batch(rng, n_batch, n, n_leads)
+        old = _batch(rng, n_batch, n, n_leads)
+        thresholds = np.abs(rng.standard_normal(n_batch))
+        got_a, got_m = _group_shrink_update(mom, grad, step, thresholds,
+                                            old, ratio)
+        ref_a, ref_m = _per_window_reference(mom, grad, step, thresholds,
+                                             old, ratio)
+        assert got_a.tobytes() == ref_a.tobytes()
+        assert got_m.tobytes() == ref_m.tobytes()
+
+    @pytest.mark.parametrize("n_leads", [8, 12])
+    def test_wide_batches_match_reference(self, n_leads):
+        # From 8 leads on numpy's row norm switches to pairwise
+        # summation; the batched norm must still equal the per-window
+        # one bit for bit.
+        rng = np.random.default_rng(3)
+        mom = _batch(rng, 2, 5, n_leads)
+        grad = _batch(rng, 2, 5, n_leads)
+        old = _batch(rng, 2, 5, n_leads)
+        thresholds = np.array([0.1, 0.2])
+        got = _group_shrink_update(mom, grad, 0.1, thresholds, old, 0.3)
+        ref = _per_window_reference(mom, grad, 0.1, thresholds, old, 0.3)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+
+    def test_nan_inputs_propagate(self):
+        # np.maximum propagates NaN: a NaN row must stay NaN rather
+        # than be silently shrunk to zero, and the other rows of the
+        # window are untouched by it.
+        mom = np.zeros((1, 2, 2))
+        mom[0, 0] = np.nan
+        mom[0, 1] = [3.0, 4.0]
+        alpha, momentum = _group_shrink_update(
+            mom, np.zeros_like(mom), 0.5, np.array([1.0]),
+            np.zeros_like(mom), 0.5)
+        assert np.all(np.isnan(alpha[0, 0]))
+        assert np.all(np.isnan(momentum[0, 0]))
+        assert np.allclose(alpha[0, 1], [2.4, 3.2])
+
+    def test_windows_independent_of_batch_partition(self):
+        # The sharded drain splits batches arbitrarily: each window's
+        # step must not depend on its batch companions.
+        rng = np.random.default_rng(11)
+        mom, grad, old = (_batch(rng, 5, 16, 3) for _ in range(3))
+        thresholds = np.abs(rng.standard_normal(5))
+        whole = _group_shrink_update(mom, grad, 0.2, thresholds, old,
+                                     0.7)
+        for lo, hi in ((0, 2), (2, 3), (3, 5)):
+            part = _group_shrink_update(mom[lo:hi], grad[lo:hi], 0.2,
+                                        thresholds[lo:hi], old[lo:hi],
+                                        0.7)
+            assert part[0].tobytes() == whole[0][lo:hi].tobytes()
+            assert part[1].tobytes() == whole[1][lo:hi].tobytes()
+
+    def test_thresholds_apply_per_window(self):
+        rows = np.array([[[3.0, 4.0]], [[3.0, 4.0]]])
+        zeros = np.zeros_like(rows)
+        alpha, _ = _group_shrink_update(rows, zeros, 1.0,
+                                        np.array([10.0, 0.0]), zeros,
+                                        0.0)
+        assert np.all(alpha[0] == 0.0)
+        assert alpha[1].tobytes() == rows[1].tobytes()
+
+    def test_inputs_not_mutated(self):
+        rng = np.random.default_rng(5)
+        arrays = [_batch(rng, 2, 6, 2) for _ in range(3)]
+        thresholds = np.array([0.3, 0.6])
+        before = [a.copy() for a in (*arrays, thresholds)]
+        mom, grad, old = arrays
+        _group_shrink_update(mom, grad, 0.4, thresholds, old, 0.9)
+        for original, now in zip(before, (*arrays, thresholds)):
+            assert now.tobytes() == original.tobytes()
+
+    def test_zero_ratio_momentum_is_new_iterate(self):
+        rng = np.random.default_rng(9)
+        mom, grad, old = (_batch(rng, 3, 4, 2) for _ in range(3))
+        alpha, momentum = _group_shrink_update(
+            mom, grad, 0.1, np.full(3, 0.05), old, 0.0)
+        assert momentum.tobytes() == alpha.tobytes()
+
+    def test_zero_norm_rows_shrink_to_zero(self):
+        mom = np.zeros((1, 3, 2))
+        grad = np.zeros((1, 3, 2))
+        old = np.ones((1, 3, 2))
+        alpha, momentum = _group_shrink_update(
+            mom, grad, 0.5, np.array([0.25]), old, 0.5)
+        assert np.all(alpha == 0.0)
+        assert np.all(momentum == -0.5)
+
+
 class TestGroupFista:
+    def test_bitwise_matches_textbook_loop(self, rng):
+        # The one-window iteration pinned expression for expression
+        # with the public prox: recovery goldens anchor to these bytes.
+        m, n, leads = 30, 64, 2
+        operators = [rng.standard_normal((m, n)) / np.sqrt(m)
+                     for _ in range(leads)]
+        ys = [rng.standard_normal(m) for _ in range(leads)]
+        lam = 0.05
+        step = 1.0 / max(float(np.linalg.norm(A, 2)) ** 2
+                         for A in operators)
+        alpha = np.zeros((n, leads))
+        momentum = alpha.copy()
+        t = 1.0
+        for _ in range(120):
+            grad = np.stack([operators[k].T @ (operators[k] @ momentum[:, k]
+                                               - ys[k])
+                             for k in range(leads)], axis=1)
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            new_alpha = group_soft_threshold(momentum - step * grad,
+                                             np.float64(lam * step))
+            momentum = new_alpha + (t - 1.0) / t_next * (new_alpha - alpha)
+            moved = np.linalg.norm(new_alpha - alpha)
+            scale = max(1e-12, np.linalg.norm(alpha))
+            alpha, t = new_alpha, t_next
+            if moved / scale < 1e-7:
+                break
+        got = group_fista(operators, ys, lam, n_iter=120)
+        assert got.tobytes() == alpha.tobytes()
+
+    def test_batch_windows_independent_of_partition(self, rng):
+        # Each window's trajectory (and its own stopping test) must not
+        # depend on which windows share its batch: the sharded drain's
+        # byte-equivalence rests on this.
+        m, n, leads, windows = 24, 48, 2, 4
+        operators = [rng.standard_normal((m, n)) / np.sqrt(m)
+                     for _ in range(leads)]
+        ys = rng.standard_normal((windows, leads, m))
+        lams = np.array([0.01, 0.05, 0.1, 0.02])
+        whole = group_fista_batch(operators, ys, lams, n_iter=80)
+        for w in range(windows):
+            alone = group_fista_batch(operators, ys[w:w + 1],
+                                      lams[w:w + 1], n_iter=80)
+            assert alone[0].tobytes() == whole[w].tobytes()
+
     def test_recovers_jointly_sparse_rows(self, rng):
         m, n, leads, k = 50, 100, 3, 6
         operators = [rng.standard_normal((m, n)) / np.sqrt(m)

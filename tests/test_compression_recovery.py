@@ -15,6 +15,7 @@ from repro.compression import (
     reconstruction_snr_db,
     soft_threshold,
 )
+from repro.compression.recovery import _soft_shrink_update
 
 
 class TestSoftThreshold:
@@ -33,6 +34,58 @@ class TestSoftThreshold:
         assert np.allclose(out, [2.0, -2.0, 0.0, 0.0])
 
 
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestSoftShrinkUpdate:
+    @settings(max_examples=25, deadline=None)
+    @given(vec=hnp.arrays(np.float64, st.integers(1, 64),
+                          elements=finite),
+           step=finite, threshold=st.floats(0.0, 1e3), ratio=finite,
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_bitwise(self, vec, step, threshold,
+                                       ratio, seed):
+        rng = np.random.default_rng(seed)
+        grad = rng.standard_normal(vec.shape)
+        old = rng.standard_normal(vec.shape)
+        alpha, momentum = _soft_shrink_update(vec, grad, step, threshold,
+                                              old, ratio)
+        ref = soft_threshold(vec - step * grad, threshold)
+        assert alpha.tobytes() == ref.tobytes()
+        assert momentum.tobytes() == (ref + ratio * (ref - old)).tobytes()
+
+    def test_zero_threshold_is_plain_gradient_step(self):
+        mom = np.array([1.0, -2.0, 0.5])
+        grad = np.array([2.0, 2.0, -1.0])
+        alpha, _ = _soft_shrink_update(mom, grad, 0.5, 0.0,
+                                       np.zeros(3), 0.0)
+        assert alpha.tolist() == [0.0, -3.0, 1.0]
+
+    def test_momentum_extrapolation_exact(self):
+        mom = np.array([3.0, -3.0])
+        old = np.array([1.0, 1.0])
+        alpha, momentum = _soft_shrink_update(mom, np.zeros(2), 1.0, 1.0,
+                                              old, 0.5)
+        assert alpha.tolist() == [2.0, -2.0]
+        assert momentum.tolist() == [2.5, -3.5]
+
+    def test_inputs_not_mutated(self):
+        rng = np.random.default_rng(4)
+        mom, grad, old = (rng.standard_normal(16) for _ in range(3))
+        before = [a.copy() for a in (mom, grad, old)]
+        _soft_shrink_update(mom, grad, 0.3, 0.2, old, 0.8)
+        for original, now in zip(before, (mom, grad, old)):
+            assert now.tobytes() == original.tobytes()
+
+    def test_nan_sign_semantics_match_numpy(self):
+        vec = np.array([np.nan, -2.0, 0.0, 2.0])
+        grad = np.zeros(4)
+        old = np.zeros(4)
+        alpha, _ = _soft_shrink_update(vec, grad, 0.0, 0.5, old, 0.0)
+        assert np.isnan(alpha[0])
+        assert alpha[1] == -1.5 and alpha[2] == 0.0 and alpha[3] == 1.5
+
+
 def _sparse_problem(rng, m=60, n=120, k=6, noise=0.0):
     A = rng.standard_normal((m, n)) / np.sqrt(m)
     truth = np.zeros(n)
@@ -43,6 +96,29 @@ def _sparse_problem(rng, m=60, n=120, k=6, noise=0.0):
 
 
 class TestFista:
+    def test_bitwise_matches_textbook_loop(self, rng):
+        # The iteration pinned expression for expression: gradient
+        # step, soft threshold, momentum extrapolation, relative-move
+        # stop.  Recovery goldens anchor to exactly these bytes.
+        A, y, _ = _sparse_problem(rng)
+        lam = 0.01
+        step = 1.0 / float(np.linalg.norm(A, 2)) ** 2
+        alpha = np.zeros(A.shape[1])
+        momentum = alpha.copy()
+        t = 1.0
+        for _ in range(150):
+            grad = A.T @ (A @ momentum - y)
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            new_alpha = soft_threshold(momentum - step * grad, lam * step)
+            momentum = new_alpha + (t - 1.0) / t_next * (new_alpha - alpha)
+            moved = np.linalg.norm(new_alpha - alpha)
+            scale = max(1e-12, np.linalg.norm(alpha))
+            alpha, t = new_alpha, t_next
+            if moved / scale < 1e-7:
+                break
+        got = fista(A, y, lam=lam, n_iter=150)
+        assert got.tobytes() == alpha.tobytes()
+
     def test_recovers_sparse_vector(self, rng):
         A, y, truth = _sparse_problem(rng)
         lam = 0.02 * np.max(np.abs(A.T @ y))

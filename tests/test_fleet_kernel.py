@@ -5,17 +5,17 @@ Three layers:
 * kernel unit tests — the ``(t_s, priority, subject, seq)`` total
   order, scheduling validation, bounded runs;
 * a fuzzed total-order property over real governed + impaired fleet
-  runs (no two events may ever share an ordering key);
-* the façade equivalence contract — the kernel engines must reproduce
-  the legacy tick loop byte for byte: plain, governed + impaired +
-  wire-loopback, sharded, campaign-level, and with uniform per-node
-  period overrides.
+  runs with per-node period overrides (no two events may ever share an
+  ordering key);
+* the clock equivalence contract — a cohort with every node overridden
+  to the base period runs on per-node kernel events and must reproduce
+  the tick loop byte for byte: plain, governed + impaired +
+  wire-loopback, sharded, and with impaired links.
 """
 
 from __future__ import annotations
 
-import functools
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,6 @@ from repro.fleet import (
     PatientProfile,
     PerPatientLink,
     SchedulerConfig,
-    ShardHooks,
     ShardedFleetRunner,
     make_cohort,
 )
@@ -137,7 +136,7 @@ class TestEventKernelUnit:
 
     def test_priorities_cover_the_phase_ladder(self):
         assert list(PRIORITIES) == sorted(PRIORITIES)
-        assert len(set(PRIORITIES)) == len(PRIORITIES) == 8
+        assert len(set(PRIORITIES)) == len(PRIORITIES) == 6
 
 
 def _impaired_link_for(spec: LinkSpec, master_seed: int):
@@ -180,10 +179,10 @@ def _report_fingerprint(report) -> tuple:
             len(report.excerpts), tuple(_excerpt_rows(report)))
 
 
-def _run(engine: str, cohort, duration_s=120.0, obs=None, **kwargs):
+def _run(cohort, duration_s=120.0, obs=None, **kwargs):
     scheduler = FleetScheduler(
         cohort,
-        SchedulerConfig(duration_s=duration_s, engine=engine,
+        SchedulerConfig(duration_s=duration_s,
                         **kwargs.pop("config_kw", {})),
         node_config=kwargs.pop("node_config", FAST_NODE),
         obs=obs,
@@ -191,38 +190,53 @@ def _run(engine: str, cohort, duration_s=120.0, obs=None, **kwargs):
     return scheduler.run()
 
 
-class TestLockstepFacadeEquivalence:
-    """engine="kernel" must replay engine="ticks" byte for byte."""
+def _base_period(cohort) -> list[PatientProfile]:
+    """The cohort with every node overridden to the base period.
+
+    Any override puts the scheduler on per-node kernel events; at the
+    base period those events fire at exactly the tick loop's instants.
+    """
+    return [replace(p, uplink_period_s=FAST_NODE.excerpt_period_s)
+            for p in cohort]
+
+
+class TestClockEquivalence:
+    """Per-node kernel events must replay the tick loop byte for byte."""
 
     def test_plain_run_byte_identical(self):
         cohort = make_cohort(CohortConfig(n_patients=4, seed=5))
-        ticks = _run("ticks", cohort)
-        kernel = _run("kernel", cohort)
-        assert _report_fingerprint(kernel) == _report_fingerprint(ticks)
-        assert kernel.kernel_stats["engine"] == "kernel-lockstep"
-        assert kernel.kernel_stats["n_events"] > 0
+        ticks = _run(cohort)
+        events = _run(_base_period(cohort))
+        assert _report_fingerprint(events) == _report_fingerprint(ticks)
+        assert events.kernel_stats["engine"] == "kernel-events"
+        assert events.kernel_stats["n_events"] > 0
         assert ticks.kernel_stats == {
             "engine": "ticks", "n_events": 0,
             "tick_loop_iterations":
-                kernel.kernel_stats["tick_loop_iterations"]}
+                events.kernel_stats["tick_loop_iterations"]}
 
     def test_governed_impaired_wire_loopback_byte_identical(self):
-        # The hardest lockstep case: governor feedback, lossy jittered
+        # The hardest case: governor feedback, lossy jittered
         # per-patient links, wire codec round trip and a finite drain
-        # budget all at once.
+        # budget all at once.  As with any jittered link, the excerpt
+        # processing order may differ (exact-instant deliveries), so
+        # excerpt content is compared as a multiset.
         cohort = make_cohort(CohortConfig(n_patients=4, seed=9))
         spec = LinkSpec(loss_rate=0.15, duplicate_rate=0.1,
                         reorder_rate=0.2, jitter_s=2.0,
                         reorder_delay_s=65.0)
         reports = [
-            _run(engine, cohort,
+            _run(members,
                  config_kw=dict(wire_loopback=True, drain_per_tick=3),
                  link=_impaired_link_for(spec, 99),
                  governor_factory=_governor_factory(99),
                  gateway=Gateway(GatewayConfig(n_iter=50)))
-            for engine in ("ticks", "kernel")]
-        assert _report_fingerprint(reports[0]) \
-            == _report_fingerprint(reports[1])
+            for members in (cohort, _base_period(cohort))]
+        assert reports[1].summary.to_json() \
+            == reports[0].summary.to_json()
+        assert reports[1].packets_sent == reports[0].packets_sent
+        assert sorted(_excerpt_rows(reports[1])) \
+            == sorted(_excerpt_rows(reports[0]))
         assert reports[0].summary.governed
         assert reports[0].link_stats  # impairments actually happened
 
@@ -232,21 +246,21 @@ class TestLockstepFacadeEquivalence:
         # byte-equal to the tick loop's.
         cohort = make_cohort(CohortConfig(n_patients=3, seed=7))
         streams = []
-        for engine in ("ticks", "kernel"):
+        for members in (cohort, _base_period(cohort)):
             obs = Observability(ObsConfig())
-            _run(engine, cohort, obs=obs,
+            _run(members, obs=obs,
                  gateway=Gateway(GatewayConfig(n_iter=50), obs=obs))
             streams.append(obs.canonical_json())
         assert streams[0] == streams[1]
 
-    def test_four_shard_kernel_byte_identical_to_inline_ticks(self):
-        # Acceptance: plain tick loop == kernel façade == 4-shard run.
+    def test_four_shard_events_byte_identical_to_inline_ticks(self):
+        # Acceptance: plain tick loop == per-node events == 4-shard run.
         cohort = make_cohort(CohortConfig(n_patients=5, seed=7))
-        ticks = _run("ticks", cohort, duration_s=60.0,
+        ticks = _run(cohort, duration_s=60.0,
                      gateway=Gateway(GatewayConfig(n_iter=50)))
         sharded = ShardedFleetRunner(
-            cohort, n_shards=4,
-            config=SchedulerConfig(duration_s=60.0, engine="kernel"),
+            _base_period(cohort), n_shards=4,
+            config=SchedulerConfig(duration_s=60.0),
             node_config=FAST_NODE,
             gateway_config=GatewayConfig(n_iter=50)).run()
         assert sharded.summary.to_json() == ticks.summary.to_json()
@@ -256,17 +270,14 @@ class TestLockstepFacadeEquivalence:
         # Every node overridden to the base period: the per-node event
         # engine must still match the tick loop exactly (same uplink
         # instants, batch-of-1 encoding vs fleet-batched encoding).
-        from dataclasses import replace
-
         base = make_cohort(CohortConfig(n_patients=4, seed=5))
-        period = FAST_NODE.excerpt_period_s
-        overridden = [replace(p, uplink_period_s=period) for p in base]
+        overridden = _base_period(base)
         spec = LinkSpec(loss_rate=0.1, duplicate_rate=0.05,
                         reorder_rate=0.1, jitter_s=5.0)
-        ticks = _run("ticks", base, duration_s=120.0,
+        ticks = _run(base, duration_s=120.0,
                      link=_impaired_link_for(spec, 42),
                      gateway=Gateway(GatewayConfig(n_iter=50)))
-        events = _run("kernel", overridden, duration_s=120.0,
+        events = _run(overridden, duration_s=120.0,
                       link=_impaired_link_for(spec, 42),
                       gateway=Gateway(GatewayConfig(n_iter=50)))
         # Summary bytes and excerpt *content* must match exactly.  The
@@ -281,19 +292,112 @@ class TestLockstepFacadeEquivalence:
         assert events.kernel_stats["by_name"].get("link.delivery", 0) > 0
 
 
+class TestClockSelection:
+    """The cohort, not a knob, picks the simulation clock."""
+
+    def test_no_overrides_run_the_tick_loop(self):
+        cohort = make_cohort(CohortConfig(n_patients=3, seed=4))
+        stats = _run(cohort, duration_s=120.0).kernel_stats
+        assert stats == {"engine": "ticks", "n_events": 0,
+                         "tick_loop_iterations": 2 * 3}
+
+    def test_one_override_moves_the_fleet_to_events(self):
+        cohort = make_cohort(CohortConfig(n_patients=3, seed=4))
+        cohort[2] = replace(cohort[2], uplink_period_s=120.0)
+        stats = _run(cohort, duration_s=120.0).kernel_stats
+        assert stats["engine"] == "kernel-events"
+        assert stats["n_events"] > 0
+
+    def test_explicit_none_is_no_override(self):
+        cohort = [replace(p, uplink_period_s=None)
+                  for p in make_cohort(CohortConfig(n_patients=2,
+                                                    seed=4))]
+        assert _run(cohort, duration_s=60.0).kernel_stats["engine"] \
+            == "ticks"
+
+    @pytest.mark.parametrize("period", [0.0, -60.0])
+    def test_non_positive_override_rejected(self, period):
+        (profile,) = make_cohort(CohortConfig(n_patients=1, seed=4))
+        with pytest.raises(ValueError, match="uplink_period_s"):
+            replace(profile, uplink_period_s=period)
+
+    def test_uplink_events_follow_each_nodes_period(self):
+        base = FAST_NODE.excerpt_period_s
+        periods = [None, 2 * base, 3 * base, 7 * base]
+        cohort = [replace(p, uplink_period_s=period)
+                  for p, period in zip(
+                      make_cohort(CohortConfig(n_patients=4, seed=6)),
+                      periods)]
+        duration = 6 * base
+        by_name = _run(cohort, duration_s=duration).kernel_stats["by_name"]
+        expected = sum(int(duration // (period or base))
+                       for period in periods)
+        assert by_name["node.uplink"] == expected == 6 + 3 + 2 + 0
+
+    def test_gateway_sweeps_stay_on_base_grid(self):
+        base = FAST_NODE.excerpt_period_s
+        cohort = [replace(p, uplink_period_s=5 * base)
+                  for p in make_cohort(CohortConfig(n_patients=3,
+                                                    seed=6))]
+        by_name = _run(cohort, duration_s=5 * base).kernel_stats["by_name"]
+        for name in ("gateway.expire", "gateway.drain", "triage.sweep"):
+            assert by_name[name] == 5
+        assert by_name["node.uplink"] == 3
+
+    def test_sparse_overrides_wire_loopback_matches_object_path(self):
+        base = make_cohort(CohortConfig(n_patients=3, seed=8))
+        cohort = [p if i else replace(
+            p, uplink_period_s=3 * FAST_NODE.excerpt_period_s)
+            for i, p in enumerate(base)]
+        reports = [
+            _run(cohort, duration_s=180.0,
+                 config_kw=dict(wire_loopback=loopback),
+                 gateway=Gateway(GatewayConfig(n_iter=40)))
+            for loopback in (False, True)]
+        assert reports[1].kernel_stats["engine"] == "kernel-events"
+        assert _report_fingerprint(reports[1]) \
+            == _report_fingerprint(reports[0])
+
+    def test_sparse_overrides_obs_trace_reproducible(self):
+        base = make_cohort(CohortConfig(n_patients=3, seed=2))
+        cohort = [p if i else replace(
+            p, uplink_period_s=2 * FAST_NODE.excerpt_period_s)
+            for i, p in enumerate(base)]
+        streams = []
+        for _ in range(2):
+            obs = Observability(ObsConfig())
+            report = _run(cohort, obs=obs,
+                          gateway=Gateway(GatewayConfig(n_iter=40),
+                                          obs=obs))
+            assert report.kernel_stats["engine"] == "kernel-events"
+            streams.append(obs.canonical_json())
+        assert streams[0] == streams[1]
+
+    def test_sparse_overrides_shard_byte_identical(self):
+        base = make_cohort(CohortConfig(n_patients=4, seed=8))
+        cohort = [p if i % 2 else replace(
+            p, uplink_period_s=2 * FAST_NODE.excerpt_period_s)
+            for i, p in enumerate(base)]
+        kw = dict(config=SchedulerConfig(duration_s=120.0),
+                  node_config=FAST_NODE,
+                  gateway_config=GatewayConfig(n_iter=40))
+        one = ShardedFleetRunner(cohort, n_shards=1, **kw).run()
+        two = ShardedFleetRunner(cohort, n_shards=2, **kw).run()
+        assert two.summary.to_json() == one.summary.to_json()
+        assert two.packets_sent == one.packets_sent
+
+
 class TestSparseCohortEvents:
     def test_event_count_beats_tick_iterations(self):
         # 90 % delineation-only nodes uplinking at 10x the base period:
         # the kernel must visit them only when they uplink, making the
         # event count a small fraction of cohort x ticks.
-        from dataclasses import replace
-
         base = make_cohort(CohortConfig(n_patients=10, seed=3))
         period = FAST_NODE.excerpt_period_s  # 60 s
         cohort = [p if i == 0
                   else replace(p, uplink_period_s=period * 10)
                   for i, p in enumerate(base)]
-        report = _run("kernel", cohort, duration_s=period * 10)
+        report = _run(cohort, duration_s=period * 10)
         stats = report.kernel_stats
         assert stats["engine"] == "kernel-events"
         assert stats["tick_loop_iterations"] == 10 * 10
@@ -302,22 +406,6 @@ class TestSparseCohortEvents:
         # staleness scales with the node's own expected period.
         assert report.summary.stale_patients == 0
         assert report.packets_sent >= len(cohort)
-
-    def test_overrides_on_ticks_engine_rejected(self):
-        from dataclasses import replace
-
-        cohort = [replace(p, uplink_period_s=600.0)
-                  for p in make_cohort(CohortConfig(n_patients=2,
-                                                    seed=3))]
-        with pytest.raises(ValueError, match="event kernel"):
-            FleetScheduler(cohort,
-                           SchedulerConfig(engine="ticks"),
-                           node_config=FAST_NODE)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            FleetScheduler(make_cohort(CohortConfig(n_patients=1)),
-                           SchedulerConfig(engine="warp"))
 
 
 class _RecordingKernel(EventKernel):
@@ -335,7 +423,8 @@ class TestTotalOrderProperty:
         # Property: across fuzzed governed + impaired fleet runs, the
         # kernel processes a strictly increasing sequence of ordering
         # keys — no duplicates (a duplicate key would leave the firing
-        # order to heap internals) and no order violations.
+        # order to heap internals) and no order violations.  Every
+        # trial carries per-node overrides so the kernel runs.
         import repro.fleet.scheduler as sched_mod
 
         monkeypatch.setattr(sched_mod, "EventKernel", _RecordingKernel)
@@ -346,17 +435,17 @@ class TestTotalOrderProperty:
             cohort = make_cohort(CohortConfig(
                 n_patients=n, seed=int(rng.integers(1, 1000))))
             if trial % 2:  # alternate: sparse per-node overrides
-                from dataclasses import replace
-
                 cohort = [p if i == 0 else replace(
                     p, uplink_period_s=60.0 * float(rng.integers(2, 6)))
                     for i, p in enumerate(cohort)]
+            else:  # dense: every node on the base period
+                cohort = _base_period(cohort)
             spec = LinkSpec(loss_rate=float(rng.uniform(0, 0.3)),
                             duplicate_rate=float(rng.uniform(0, 0.2)),
                             reorder_rate=float(rng.uniform(0, 0.3)),
                             jitter_s=float(rng.uniform(0, 10.0)))
             seed = int(rng.integers(1, 10_000))
-            _run("kernel", cohort, duration_s=180.0,
+            _run(cohort, duration_s=180.0,
                  node_config=FAST_NODE,
                  link=_impaired_link_for(spec, seed),
                  governor_factory=_governor_factory(seed),
@@ -366,31 +455,3 @@ class TestTotalOrderProperty:
             assert keys, "run scheduled no events"
             assert len(set(keys)) == len(keys), "duplicate ordering key"
             assert keys == sorted(keys), "events fired out of key order"
-
-
-class TestCampaignGolden:
-    def test_campaign_reproduces_tick_loop_goldens(self,
-                                                   trained_af_detector):
-        # The PR-2 campaign acceptance pinned byte-identical reports
-        # from one master seed.  The kernel façade (today's default
-        # engine) must reproduce those goldens exactly: a campaign run
-        # under engine="kernel" == the same campaign under the legacy
-        # tick loop, byte for byte, including under link impairments.
-        from repro.scenarios import (CampaignConfig, CampaignRunner,
-                                     clean_scenario,
-                                     packet_loss_scenario)
-
-        grid = (clean_scenario(), packet_loss_scenario(0.15))
-        reports = []
-        for engine in ("ticks", "kernel"):
-            config = CampaignConfig(n_patients=3, n_sentinels=1,
-                                    duration_s=60.0, master_seed=11,
-                                    gateway_n_iter=40,
-                                    scheduler_engine=engine)
-            reports.append(CampaignRunner(
-                grid, config, af_detector=trained_af_detector).run())
-        assert reports[0].to_json() == reports[1].to_json()
-        payload = json.loads(reports[1].to_json())
-        assert sorted(r["scenario"] for r in payload["scenarios"]) \
-            == sorted(s.name for s in grid)
-        assert all(r["packets_sent"] > 0 for r in payload["scenarios"])

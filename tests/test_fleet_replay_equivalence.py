@@ -11,6 +11,7 @@ total event order.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import pytest
 
@@ -103,6 +104,31 @@ class TestInProcessReplay:
         assert replay.torn_tail_bytes == 0
         assert list(replay.rows) == [p.patient_id for p in COHORT]
         assert set(replay.timings_s) == {"replay", "merge", "total"}
+
+    def test_per_node_events_run_replays_byte_identical(self, tmp_path):
+        # A cohort with per-node uplink periods runs on kernel events
+        # and journals each override as a "period" record; replay must
+        # restore the expected periods and the summary byte for byte.
+        cohort = [p if i % 2 else replace(p, uplink_period_s=120.0)
+                  for i, p in enumerate(COHORT)]
+        config = JournalConfig(dir=str(tmp_path), name="periods")
+        journal = JournalWriter(
+            config,
+            meta=journal_meta(120.0, RUN_KW["config"].fs,
+                              RUN_KW["gateway_config"]),
+            resume=False)
+        try:
+            live = FleetScheduler(
+                cohort, SchedulerConfig(duration_s=120.0, fs=250.0),
+                node_config=RUN_KW["node_config"],
+                gateway=Gateway(RUN_KW["gateway_config"]),
+                journal=journal).run()
+        finally:
+            journal.close()
+        assert live.kernel_stats["engine"] == "kernel-events"
+        replay = JournalReplayer(config).run()
+        assert replay.summary.to_json() == live.summary.to_json()
+        assert replay.packets_sent == live.packets_sent
 
     def test_journaled_run_summary_unchanged_by_journaling(self,
                                                            tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,22 @@ class TestServedByteEquivalence:
         # The acceptance bar: identical bytes out of real sockets.
         assert served_run.summary.to_json() \
             == plain_run.summary.to_json()
+
+    def test_per_node_periods_served_matches_in_process(self):
+        # Overridden nodes declare their period to the server ("period"
+        # messages); the served summary must still equal the in-process
+        # per-node events run byte for byte.
+        cohort = [p if i % 2 else replace(p, uplink_period_s=120.0)
+                  for i, p in enumerate(COHORT[:4])]
+        kw = dict(RUN_KW, config=SchedulerConfig(duration_s=120.0,
+                                                 fs=250.0))
+        reference = FleetScheduler(
+            cohort, kw["config"], node_config=kw["node_config"],
+            gateway=Gateway(kw["gateway_config"])).run()
+        served = run_served_fleet(cohort, **kw)
+        assert reference.kernel_stats["engine"] == "kernel-events"
+        assert served.summary.to_json() == reference.summary.to_json()
+        assert served.packets_sent == reference.packets_sent
 
     def test_packet_counts_and_rows(self, plain_run, served_run):
         assert served_run.packets_sent == plain_run.packets_sent

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from repro.fleet import (
 from repro.fleet.sharding import (
     ShardPatientRow,
     ShardResult,
+    _run_shard,
     decode_shard_result,
     encode_shard_result,
 )
-from repro.fleet.transport import SharedMemoryTransport
 from repro.fleet.triage import PatientTriage
 from repro.power import Battery, BatteryModel
 from repro.power.governor import (
@@ -45,17 +46,6 @@ RUN_KW = dict(
     gateway_config=GatewayConfig(n_iter=50),
 )
 
-#: Both shard-result fabrics; byte-equivalence must hold on each.
-TRANSPORTS = [
-    "pickle",
-    pytest.param(
-        "shared_memory",
-        marks=pytest.mark.skipif(
-            not SharedMemoryTransport.available(),
-            reason="multiprocessing.shared_memory unavailable")),
-]
-
-
 @pytest.fixture(scope="module")
 def plain_run():
     """The single-process reference run over the shared cohort."""
@@ -70,11 +60,10 @@ def one_shard_run():
     return ShardedFleetRunner(COHORT, n_shards=1, **RUN_KW).run()
 
 
-@pytest.fixture(scope="module", params=TRANSPORTS)
-def four_shard_run(request):
-    """The 4-process run over the same cohort, per transport backend."""
-    return ShardedFleetRunner(COHORT, n_shards=4,
-                              transport=request.param, **RUN_KW).run()
+@pytest.fixture(scope="module")
+def four_shard_run():
+    """The 4-process run over the same cohort."""
+    return ShardedFleetRunner(COHORT, n_shards=4, **RUN_KW).run()
 
 
 class TestPartition:
@@ -151,15 +140,13 @@ def _impaired_governed_hooks(spec: LinkSpec, profiles,
 
 
 class TestHookedRuns:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_governed_impaired_shards_byte_identical(self, transport):
+    def test_governed_impaired_shards_byte_identical(self):
         spec = LinkSpec(loss_rate=0.15, duplicate_rate=0.1,
                         reorder_rate=0.2, jitter_s=2.0,
                         reorder_delay_s=65.0)
         kw = dict(RUN_KW, master_seed=99,
                   hook_factory=functools.partial(
-                      _impaired_governed_hooks, spec),
-                  transport=transport)
+                      _impaired_governed_hooks, spec))
         one = ShardedFleetRunner(COHORT[:4], n_shards=1, **kw).run()
         three = ShardedFleetRunner(COHORT[:4], n_shards=3, **kw).run()
         assert three.summary.to_json() == one.summary.to_json()
@@ -251,6 +238,127 @@ class TestShardResultCodec:
         with pytest.raises(WireFormatError, match="magic"):
             decode_shard_result(bytes(blob))
 
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_decode_accepts_any_buffer(self, wrap):
+        blob = encode_shard_result(self._result())
+        decoded = decode_shard_result(wrap(blob))
+        assert encode_shard_result(decoded) == blob
+
+    def test_writable_source_is_copied(self):
+        # Decoders alias only immutable bytes: wiping a bytearray
+        # after decode must not reach the decoded SNRs.
+        blob = bytearray(encode_shard_result(self._result()))
+        decoded = decode_shard_result(blob)
+        blob[:] = bytes(len(blob))
+        assert decoded.rows[0].channel.snrs == [18.5, 21.0, 19.25]
+
+    def test_readonly_view_over_writable_source_is_copied(self):
+        source = bytearray(encode_shard_result(self._result()))
+        decoded = decode_shard_result(memoryview(source).toreadonly())
+        source[:] = bytes(len(source))
+        assert decoded.rows[0].channel.snrs == [18.5, 21.0, 19.25]
+
+    def test_snrs_are_owned_float_lists(self):
+        decoded = decode_shard_result(encode_shard_result(self._result()))
+        snrs = decoded.rows[0].channel.snrs
+        assert type(snrs) is list
+        assert all(type(s) is float for s in snrs)
+
+    def test_round_trip_is_byte_stable(self):
+        blob = encode_shard_result(self._result())
+        assert encode_shard_result(decode_shard_result(blob)) == blob
+
+    def test_empty_shard_round_trips(self):
+        empty = ShardResult(shard_index=3, packets_sent=0, dropped=0,
+                            timings_s={})
+        decoded = decode_shard_result(encode_shard_result(empty))
+        assert decoded.shard_index == 3
+        assert decoded.rows == []
+        assert decoded.obs_bundle is None
+
+    def test_row_without_channel_round_trips(self):
+        result = self._result()
+        row = replace(result.rows[0], channel=None)
+        decoded = decode_shard_result(encode_shard_result(
+            replace(result, rows=[row])))
+        assert decoded.rows[0].channel is None
+        assert decoded.rows[0].triage.state == "watch"
+
+    def test_obs_bundle_round_trips(self):
+        bundle = {"metrics": {"fleet.packets": 4}, "trace": []}
+        result = replace(self._result(), obs_bundle=bundle)
+        decoded = decode_shard_result(encode_shard_result(result))
+        assert decoded.obs_bundle == bundle
+
+    def test_unknown_version_raises(self):
+        blob = bytearray(encode_shard_result(self._result()))
+        blob[4] += 1
+        with pytest.raises(WireFormatError, match="version"):
+            decode_shard_result(bytes(blob))
+
+    def test_trailing_bytes_raise(self):
+        blob = encode_shard_result(self._result()) + b"\x00"
+        with pytest.raises(WireFormatError, match="trailing"):
+            decode_shard_result(blob)
+
+    def test_corrupt_obs_bundle_raises(self):
+        head = encode_shard_result(replace(self._result(), obs_bundle={}))
+        # An empty bundle encodes as "{}"; swap it for invalid JSON of
+        # the same length.
+        assert head.endswith(b"{}")
+        with pytest.raises(WireFormatError, match="observability"):
+            decode_shard_result(head[:-2] + b"{{")
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_truncation_raises_for_any_buffer(self, wrap):
+        blob = encode_shard_result(self._result())
+        for cut in range(0, len(blob), 7):
+            with pytest.raises(WireFormatError):
+                decode_shard_result(wrap(blob[:cut]))
+
+
+def _failing_hooks(profiles, master_seed: int) -> ShardHooks:
+    """Hook factory (picklable) that fails inside one shard's worker."""
+    if any(p.patient_id == COHORT[1].patient_id for p in profiles):
+        raise RuntimeError("shard hook failure")
+    return ShardHooks()
+
+
+class TestShardWorkers:
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_worker_failure_propagates(self, n_shards):
+        # A failing worker must surface its own exception from run(),
+        # inline or across the process pool, never a partial report.
+        runner = ShardedFleetRunner(COHORT[:3], n_shards=n_shards,
+                                    hook_factory=_failing_hooks,
+                                    **RUN_KW)
+        with pytest.raises(RuntimeError, match="shard hook failure"):
+            runner.run()
+
+    def test_worker_returns_a_decodable_bytes_blob(self):
+        shard = partition_cohort(COHORT, 2)[1]
+        blob = _run_shard(1, shard, RUN_KW["config"],
+                          RUN_KW["node_config"], RUN_KW["gateway_config"],
+                          2014, None, None, n_shards=2)
+        assert type(blob) is bytes
+        result = decode_shard_result(blob)
+        assert result.shard_index == 1
+        assert [row.patient_id for row in result.rows] \
+            == [p.patient_id for p in shard]
+
+    def test_merged_channels_hold_owned_snrs(self, four_shard_run):
+        channels = [row.channel for row in four_shard_run.rows.values()
+                    if row.channel is not None]
+        assert channels
+        for channel in channels:
+            assert type(channel.snrs) is list
+            assert all(type(s) is float for s in channel.snrs)
+
+    def test_transport_argument_removed(self):
+        with pytest.raises(TypeError):
+            ShardedFleetRunner(COHORT, n_shards=2, transport="pickle",
+                               **RUN_KW)
+
 
 class TestMergeGuards:
     def test_missing_patient_detected(self):
@@ -259,21 +367,6 @@ class TestMergeGuards:
                             timings_s={})
         with pytest.raises(WireFormatError, match="missing patients"):
             runner._merge([empty])
-
-
-class TestTransportHygiene:
-    def test_no_shm_segments_leak_from_runs(self, four_shard_run):
-        # Every sharded run above unlinked its segments on merge; no
-        # segment of this process's runs may survive in /dev/shm.
-        import os
-        import sys
-
-        if not sys.platform.startswith("linux"):
-            pytest.skip("/dev/shm audit is Linux-only")
-        run_prefix = f"rpf{os.getpid():x}x"
-        leaked = [name for name in os.listdir("/dev/shm")
-                  if name.startswith(run_prefix)]
-        assert leaked == []
 
 
 class TestThroughputAccounting:

@@ -24,7 +24,7 @@ from repro.fleet import (
     encode_stream_frame,
     synthesize_patient,
 )
-from repro.fleet.wire import encode_packet_into
+from repro.fleet.wire import encode_packet_into, is_aliasable
 from repro.power.governor import MODES
 
 PROXY_CONFIG = NodeProxyConfig(stream_telemetry=False,
@@ -207,17 +207,6 @@ class TestGatewayIngestBytes:
         with pytest.raises(WireFormatError):
             Gateway().ingest(b"not a packet")
 
-    def test_ingest_bytes_shim_warns_and_forwards(self):
-        packet = _synthetic_packet(np.random.default_rng(3))
-        gateway = Gateway()
-        with pytest.warns(DeprecationWarning, match="ingest_bytes"):
-            assert gateway.ingest_bytes(encode_packet(packet))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(WireFormatError):
-                gateway.ingest_bytes(b"junk")
-        gateway.flush_reassembly()
-        assert gateway.pending == 1
-
     def test_zero_copy_ingest_batch(self):
         # Bytes ingest aliases the frame; drain's batched
         # reconstruction then reads measurements straight out of it.
@@ -255,6 +244,29 @@ def _packet_of_kind(kind: str, seed: int) -> UplinkPacket:
         if packet.kind == kind:
             return packet
     raise AssertionError(f"no {kind!r} packet in 64 draws")  # pragma: no cover
+
+
+class TestIsAliasable:
+    def test_bytes_are_aliasable(self):
+        assert is_aliasable(b"abc")
+
+    def test_bytearray_is_not(self):
+        assert not is_aliasable(bytearray(b"abc"))
+
+    def test_readonly_view_over_bytes_is_aliasable(self):
+        view = memoryview(b"abcdef")[2:]
+        assert is_aliasable(view)
+
+    def test_view_over_bytearray_is_not(self):
+        source = bytearray(b"abc")
+        assert not is_aliasable(memoryview(source))
+        # Even a read-only view cannot hide that the exporter is
+        # writable storage someone else can still mutate.
+        assert not is_aliasable(memoryview(source).toreadonly())
+
+    def test_other_objects_are_not(self):
+        assert not is_aliasable("text")
+        assert not is_aliasable(np.zeros(3))
 
 
 class TestZeroCopyAliasing:
@@ -323,12 +335,12 @@ class TestZeroCopyAliasing:
 
 
 class TestEncodeInto:
-    def test_pooled_encode_is_byte_identical(self):
+    def test_reused_buffer_encode_is_byte_identical(self):
         rng = np.random.default_rng(12)
         out = bytearray()
         for _ in range(20):
             packet = _synthetic_packet(rng)
-            del out[:]  # pooled-buffer reuse
+            del out[:]  # buffer reuse
             n = encode_packet_into(packet, out)
             assert n == len(out)
             assert bytes(out) == encode_packet(packet)

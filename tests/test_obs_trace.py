@@ -4,6 +4,7 @@ contract: N-shard == 1-shard == plain-run canonical obs snapshots."""
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import pytest
 
@@ -159,6 +160,18 @@ class TestShardEquivalence:
     def test_three_shards_match_one(self, one_shard, three_shard):
         assert three_shard.canonical_obs_json() \
             == one_shard.canonical_obs_json()
+
+    def test_per_node_events_shards_match_one(self):
+        # Sparse per-node periods put every worker on kernel events;
+        # the merged canonical snapshot must stay layout independent.
+        cohort = [p if i % 2 else replace(p, uplink_period_s=120.0)
+                  for i, p in enumerate(COHORT)]
+        kw = dict(OBS_KW, config=SchedulerConfig(duration_s=120.0,
+                                                 fs=250.0))
+        one = ShardedFleetRunner(cohort, n_shards=1, **kw).run()
+        two = ShardedFleetRunner(cohort, n_shards=2, **kw).run()
+        assert two.canonical_obs_json() == one.canonical_obs_json()
+        assert two.summary.to_json() == one.summary.to_json()
 
     def test_summary_unchanged_by_observation(self, one_shard):
         unobserved = ShardedFleetRunner(COHORT, n_shards=1,

@@ -280,34 +280,6 @@ class TestGovernedCampaigns:
         assert payload["mean_final_soc"] is None
 
 
-class TestShardWorkers:
-    """The shard-backed sweep: whole patient stripes per process."""
-
-    CFG = dict(n_patients=3, n_sentinels=1, duration_s=60.0,
-               master_seed=21, gateway_n_iter=40)
-
-    def test_shard_backed_byte_identical_to_decomposed(
-            self, trained_af_detector):
-        # Same per-patient link/fault seeds, same merge machinery —
-        # the two opt-in sweep modes must agree byte for byte.
-        grid = (clean_scenario(), packet_loss_scenario(0.15))
-        decomposed = CampaignRunner(
-            grid, CampaignConfig(patient_workers=1, **self.CFG),
-            af_detector=trained_af_detector).run()
-        sharded = CampaignRunner(
-            grid, CampaignConfig(shard_workers=2, **self.CFG),
-            af_detector=trained_af_detector).run()
-        assert sharded.to_json() == decomposed.to_json()
-
-    def test_modes_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            CampaignConfig(patient_workers=1, shard_workers=1)
-
-    def test_negative_shard_workers_rejected(self):
-        with pytest.raises(ValueError, match="shard_workers"):
-            CampaignConfig(shard_workers=-1)
-
-
 class TestJournalCheckpoints:
     """Journal-backed resumable campaigns (``--start-from``/``--stop-after``)."""
 
@@ -318,8 +290,6 @@ class TestJournalCheckpoints:
     def test_journal_dir_excludes_worker_sweeps(self, tmp_path):
         with pytest.raises(ValueError, match="mutually exclusive"):
             CampaignConfig(journal_dir=str(tmp_path), patient_workers=2)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            CampaignConfig(journal_dir=str(tmp_path), shard_workers=2)
         with pytest.raises(ValueError, match="non-empty"):
             CampaignConfig(journal_dir="")
 
