@@ -35,7 +35,7 @@ SPARSE_PATIENTS = 30
 SPARSE_DENSE = 3
 SPARSE_PERIOD_S = 30.0
 #: Required tick-loop-iterations / kernel-events ratio on the sparse
-#: cohort (mirrors ``MIN_EVENT_RATIO`` in ``repro.bench.cases``).
+#: cohort.
 MIN_EVENT_RATIO = 3.0
 
 

@@ -233,7 +233,8 @@ class FleetReport:
     #: ``"kernel-events"``), kernel event counts (by event name) and
     #: ``tick_loop_iterations`` — the per-patient visits the tick loop
     #: spends on the same virtual stretch, the denominator of the
-    #: event-efficiency ratio the ``fleet-event-kernel`` bench records.
+    #: event-efficiency ratio ``benchmarks/test_fleet_event_kernel.py``
+    #: asserts.
     kernel_stats: dict = field(default_factory=dict)
 
     @property

@@ -15,8 +15,8 @@ with the same primitives as the packet codec in
 :mod:`repro.fleet.wire`.  Nothing pickles numpy object graphs, and the
 blob is exactly what a remote shard would send over a socket.
 
-Determinism contract (tested, and gated in CI by the
-``fleet-throughput-sharded`` bench case):
+Determinism contract (tested, and gated in CI by
+``benchmarks/test_fleet_throughput_sharded.py``):
 
 * patient work is a pure function of the patient profile — synthesis
   seeds live on the profile, per-patient stream seeds are derived from

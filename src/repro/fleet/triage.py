@@ -336,7 +336,7 @@ class FleetSummary:
         """Byte-stable serialization of :meth:`to_dict` (sorted keys).
 
         The byte-equivalence surface of the sharding tests and the
-        ``fleet-throughput-sharded`` bench gate.
+        ``benchmarks/test_fleet_throughput_sharded.py`` gate.
         """
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))

@@ -44,8 +44,8 @@ Frame layout (version 1, all integers little-endian)::
                   dims, dtype token, raw buffer
 
 Decoding is defensive: a wrong magic, unknown version, truncated
-buffer or trailing garbage raises :class:`WireFormatError` instead of
-yielding a corrupt packet.
+buffer, non-UTF-8 string field or trailing garbage raises
+:class:`WireFormatError` instead of yielding a corrupt packet.
 
 **Aliasing rule:** decoders alias only immutable ``bytes``; writable
 buffers are copied.  Decoded arrays are always read-only, and when
@@ -53,11 +53,10 @@ the source buffer is immutable ``bytes`` (or a read-only view of one —
 :func:`is_aliasable`) they *alias* the source instead of copying it,
 so a gateway drain reads measurement vectors straight out of the
 frame it ingested.  Mutable sources (``bytearray``, socket scratch)
-are copied: no later mutation can ever corrupt a held packet.
-Callers owning a buffer they will not mutate may force views with
-``copy=False``.  On the encode side, :func:`encode_packet_into`
-appends the frame to a caller-provided ``bytearray`` without
-materialising intermediate ``tobytes()`` copies.
+are copied: no later mutation can ever corrupt a held packet.  On
+the encode side, :func:`encode_packet_into` appends the frame to a
+caller-provided ``bytearray`` without materialising intermediate
+``tobytes()`` copies.
 
 On top of the packet codec this module also defines the **stream
 layer** the socket gateway service (:mod:`repro.fleet.serve`) speaks:
@@ -124,8 +123,11 @@ def _unpack_str(buf: memoryview, offset: int) -> tuple[str, int]:
     offset += 1
     if offset + length > len(buf):
         raise WireFormatError("truncated frame: string body missing")
-    return bytes(buf[offset:offset + length]).decode("utf-8"), \
-        offset + length
+    try:
+        value = bytes(buf[offset:offset + length]).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"string field is not UTF-8: {exc}") from exc
+    return value, offset + length
 
 
 def _append_array(out: bytearray, array: np.ndarray) -> None:
@@ -228,26 +230,21 @@ def encode_packet_into(packet: UplinkPacket, out: bytearray) -> int:
     return len(out) - start
 
 
-def decode_packet(data: bytes | bytearray | memoryview, *,
-                  copy: bool | None = None) -> UplinkPacket:
+def decode_packet(data: bytes | bytearray | memoryview) -> UplinkPacket:
     """Parse one binary frame back into an :class:`UplinkPacket`.
 
-    Decoded arrays are always read-only.  With ``copy=None`` (the
-    default) they alias ``data`` when that is safe —
-    :func:`is_aliasable` backing, i.e. immutable ``bytes`` — and are
-    copied otherwise, so mutating a ``bytearray`` source after decode
-    can never corrupt the packet.  ``copy=False`` forces views for
-    callers owning a buffer they will not mutate; ``copy=True`` forces
-    owned arrays.
+    Decoded arrays are always read-only.  They alias ``data`` when that
+    is safe — :func:`is_aliasable` backing, i.e. immutable ``bytes`` —
+    and are copied otherwise, so mutating a ``bytearray`` source after
+    decode can never corrupt the packet.
 
     Raises:
         WireFormatError: Wrong magic, unsupported version, truncation,
-            or trailing bytes after the frame.
+            a string field that is not UTF-8, or trailing bytes after
+            the frame.
     """
-    if copy is None:
-        copy = not is_aliasable(data)
     buf = memoryview(data).toreadonly()
-    packet, offset = _decode_at(buf, 0, copy)
+    packet, offset = _decode_at(buf, 0, not is_aliasable(data))
     if offset != len(buf):
         raise WireFormatError(
             f"{len(buf) - offset} trailing bytes after the frame")
@@ -342,16 +339,13 @@ def encode_packets(packets) -> bytes:
     return bytes(out)
 
 
-def decode_packets(data: bytes | bytearray | memoryview, *,
-                   copy: bool | None = None) -> list[UplinkPacket]:
+def decode_packets(
+        data: bytes | bytearray | memoryview) -> list[UplinkPacket]:
     """Parse a :func:`encode_packets` stream back into packets.
 
-    ``copy`` follows the :func:`decode_packet` view discipline: the
-    default aliases immutable ``bytes`` sources and copies mutable
-    ones.
+    Follows the :func:`decode_packet` aliasing rule: views into
+    immutable ``bytes`` sources, copies of mutable ones.
     """
-    if copy is None:
-        copy = not is_aliasable(data)
     buf = memoryview(data).toreadonly()
     if len(buf) < 4:
         raise WireFormatError("truncated stream: count missing")
@@ -365,8 +359,7 @@ def decode_packets(data: bytes | bytearray | memoryview, *,
         offset += 4
         if offset + length > len(buf):
             raise WireFormatError("truncated stream: frame body missing")
-        packets.append(decode_packet(buf[offset:offset + length],
-                                     copy=copy))
+        packets.append(decode_packet(buf[offset:offset + length]))
         offset += length
     if offset != len(buf):
         raise WireFormatError(
@@ -568,7 +561,8 @@ def decode_message(data: bytes | bytearray | memoryview) -> ServeMessage:
 
     Raises:
         WireFormatError: Wrong magic, unsupported version, truncation,
-            or trailing bytes after the message.
+            a string field that is not UTF-8, or trailing bytes after
+            the message.
     """
     buf = memoryview(data)
     if len(buf) < _MSG_HEAD.size:

@@ -1,7 +1,7 @@
 """The `Observability` bundle: one handle threaded through the stack.
 
 Instrumentation sites (gateway, scheduler, governor hooks, sharding,
-campaign, bench) accept an optional :class:`Observability` and do
+campaign) accept an optional :class:`Observability` and do
 nothing when it is ``None`` — observability is strictly out-of-band
 and opt-in, so existing `FleetSummary.to_json()` bytes and golden
 records are untouched by construction.

@@ -305,7 +305,7 @@ def canonical_metrics_json(snapshot: dict) -> str:
     """Byte-stable serialization of one metrics snapshot.
 
     The comparison surface of the N-shard == 1-shard equivalence tests
-    and the ``fleet-obs-overhead`` bench gate.
+    and ``benchmarks/test_fleet_obs_overhead.py``.
     """
     return json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
 

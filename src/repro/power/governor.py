@@ -25,7 +25,7 @@ This module turns the static Fig. 6 comparison into a policy:
   high-fidelity regardless of budget, ``ok`` patients may coast on
   events-only when the battery runs low;
 * :func:`simulate_lifetime` / :func:`compare_policies` measure simulated
-  hours-to-empty per policy (the ``fleet-lifetime`` bench case).
+  hours-to-empty per policy (``benchmarks/test_fleet_lifetime.py``).
 """
 
 from __future__ import annotations
@@ -494,7 +494,7 @@ def mixed_acuity_trace(patient_index: int):
     Patient ``i`` has one ``alert`` episode of ``1 + (i % 3)`` hours per
     day starting at hour ``(5 * i) % 19``, followed by a two-hour
     ``watch`` tail; the rest of the day is ``ok``.  Pure function of
-    ``(patient_index, t_s)`` — the fleet-lifetime bench and examples
+    ``(patient_index, t_s)`` — the fleet-lifetime benchmark and examples
     replay identically on every run.
 
     Returns:
@@ -534,8 +534,8 @@ def best_admissible_static_cohort(
     A static mode is admissible only when it accumulates **zero**
     acuity-violation hours across *every* patient; among those, the one
     with the longest mean lifetime wins.  This is the single source of
-    the admissibility rule — the fleet-lifetime bench and its legacy
-    module both call it rather than re-deriving it.
+    the admissibility rule — the fleet-lifetime benchmark and the
+    energy-governor example both call it rather than re-deriving it.
 
     Raises:
         ValueError: On an empty cohort, or when no static mode is

@@ -103,7 +103,8 @@ class CampaignConfig:
         governor_capacity_mah: Cell capacity of governed nodes.  The
             default is deliberately tiny so a minutes-long campaign
             walks the whole mode ladder; realistic cells need
-            multi-day simulations (see the ``fleet-lifetime`` bench).
+            multi-day simulations (see
+            ``benchmarks/test_fleet_lifetime.py``).
         governor_initial_soc: Upper bound of the per-patient starting
             state of charge.
         governor_soc_span: Width of the (seed-derived, per-patient)

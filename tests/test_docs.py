@@ -83,9 +83,9 @@ class TestDocstringCoverage:
             f"{COVERAGE_FLOOR:.0f}% floor; undocumented:\n  "
             + "\n  ".join(missing))
 
-    def test_public_fleet_scenarios_bench_apis_are_documented(self):
-        # The PR-4 docstring pass: these packages are held to 100 %.
-        for package in ("fleet", "scenarios", "bench"):
+    def test_public_fleet_scenarios_apis_are_documented(self):
+        # These packages are held to 100 % docstring coverage.
+        for package in ("fleet", "scenarios"):
             for path in sorted((SRC_ROOT / package).rglob("*.py")):
                 tree = ast.parse(path.read_text())
                 undocumented = [

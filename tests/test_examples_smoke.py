@@ -61,10 +61,6 @@ EXAMPLES = {
         ["campaign grid:", "clean", "loss-10pct",
          "reproduce this exact report"],
     ),
-    "bench_report.py": (
-        ["--cases", "fig1-abstraction-ladder,t2-delineation-resources"],
-        ["running 2 bench case(s)", "verdict:"],
-    ),
     "energy_governor.py": (
         ["--duration", "120", "--lifetime-patients", "2"],
         ["mode power table", "mode timeline:", "mode switches:",

@@ -268,6 +268,31 @@ class TestConnectionSemantics:
             transport.close()
 
 
+class TestNonUtf8Frames:
+    def test_hello_counted_as_rejected(self, caplog):
+        hello = encode_message(ServeMessage("hello", "pu"))
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _Transport("127.0.0.1", server.port, timeout_s=10.0)
+            transport.send_frame(hello.replace(b"\x02pu", b"\x02\xffu"))
+            with pytest.raises(ServeError, match="closed"):
+                transport.recv_message()
+            transport.close()
+            assert server.stats()["connections"] == {"rejected": 1}
+            assert server.sessions == {}
+        assert "Unhandled exception" not in caplog.text
+
+    def test_mid_stream_message_answered_with_error(self):
+        sweep = encode_message(ServeMessage("sweep", "pm", t_s=5.0))
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _hello(server, "pm")
+            transport.send_frame(sweep.replace(b"\x02pm", b"\x02\xffm"))
+            with pytest.raises(ServeError, match="UTF-8"):
+                transport.recv_message()
+            with pytest.raises(ServeError, match="closed"):
+                transport.recv_message()
+            transport.close()
+
+
 class TestBackpressure:
     def test_saturated_queue_loses_nothing(self):
         # A deliberately slow consumer (2 ms/frame) against a

@@ -309,6 +309,29 @@ class TestShardResultCodec:
         with pytest.raises(WireFormatError, match="observability"):
             decode_shard_result(head[:-2] + b"{{")
 
+    def test_non_utf8_patient_id_raises(self):
+        blob = encode_shard_result(self._result())
+        assert blob.count(b"\x02p0") == 1
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_shard_result(blob.replace(b"\x02p0", b"\x02\xff0"))
+
+    @pytest.mark.parametrize("value,nth", [
+        ("multi_lead_cs", 0), ("watch", 0), ("raw", 0),
+        ("multi_lead_cs", 1), ("offered", 0)],
+        ids=["last_mode", "triage_state", "triage_mode",
+             "mode_seconds_key", "link_stats_key"])
+    def test_non_utf8_row_string_raises(self, value, nth):
+        # Row strings in encode order: channel last_mode, triage state
+        # and mode, then the mode-seconds and link-stats keys.
+        blob = encode_shard_result(self._result())
+        field = bytes([len(value)]) + value.encode("utf-8")
+        at = -1
+        for _ in range(nth + 1):
+            at = blob.index(field, at + 1)
+        forged = blob[:at + 1] + b"\xff" + blob[at + 2:]
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_shard_result(forged)
+
     @pytest.mark.parametrize("wrap", [bytearray, memoryview])
     def test_truncation_raises_for_any_buffer(self, wrap):
         blob = encode_shard_result(self._result())

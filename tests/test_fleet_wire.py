@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,15 @@ from repro.fleet import (
     NodeProxy,
     NodeProxyConfig,
     PatientProfile,
+    ServeMessage,
     StreamDecoder,
     UplinkPacket,
     WIRE_MAGIC,
     WireFormatError,
+    decode_message,
     decode_packet,
     decode_packets,
+    encode_message,
     encode_packet,
     encode_packets,
     encode_stream_frame,
@@ -182,6 +187,84 @@ class TestDecodeErrors:
             decode_packets(stream[:-5])
 
 
+def _poison_str(blob: bytes, value: str) -> bytes:
+    """Overwrite the first byte of a length-prefixed string with 0xff.
+
+    0xff never occurs in UTF-8, so the field stays the right length
+    but can no longer decode.
+    """
+    raw = value.encode("utf-8")
+    at = blob.index(bytes([len(raw)]) + raw) + 1
+    return blob[:at] + b"\xff" + blob[at + 1:]
+
+
+def _string_packet() -> UplinkPacket:
+    """A one-window excerpt whose string fields are easy to locate."""
+    window = EncodedWindow(measurements=np.arange(4, dtype=np.int16),
+                           scale=1.0, payload_bits=64, additions=0)
+    return UplinkPacket(
+        patient_id="utf8-patient", seq=1, timestamp_s=30.0,
+        kind="excerpt", start=0, frames=((window,),), payload_bits=64,
+        n_leads=1, window_n=4, cr_percent=50.0, quant_bits=12,
+        cs_seed=3, fs=250.0, mode="single_lead_cs")
+
+
+class TestNonUtf8Strings:
+    """A string field that is not UTF-8 fails as a format error."""
+
+    @pytest.mark.parametrize("value", [
+        "excerpt", "single_lead_cs", "utf8-patient", "<i2"],
+        ids=["kind", "mode", "patient_id", "dtype"])
+    def test_packet_string_field(self, value):
+        blob = _poison_str(encode_packet(_string_packet()), value)
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_packet(blob)
+
+    @pytest.mark.parametrize("value", [
+        "sweep", "utf8-patient", "field-key", "info-key", "info-value"],
+        ids=["kind", "patient_id", "field_key", "info_key", "info_value"])
+    def test_message_string_field(self, value):
+        msg = ServeMessage("sweep", "utf8-patient", t_s=5.0,
+                           fields={"field-key": 1.0},
+                           info={"info-key": "info-value"})
+        blob = _poison_str(encode_message(msg), value)
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_message(blob)
+
+    @pytest.mark.parametrize("bad", [
+        b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xe2\x82",
+        b"\xf4\x90\x80\x80"],
+        ids=["lone_continuation", "overlong", "surrogate",
+             "truncated_sequence", "beyond_max_code_point"])
+    def test_malformed_sequence_rejected(self, bad):
+        # Each class of ill-formed UTF-8, spliced into the patient id
+        # at the same length so only the string decode can object.
+        raw = b"utf8-patient"
+        blob = encode_packet(_string_packet())
+        assert blob.count(raw) == 1
+        forged = blob.replace(raw, bad + raw[len(bad):])
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_packet(forged)
+
+    def test_non_ascii_packet_strings_round_trip(self):
+        # Fail-closed must not reject well-formed multi-byte text.
+        packet = replace(_string_packet(), patient_id="Zoë-心電-🫀")
+        decoded = decode_packet(encode_packet(packet))
+        assert decoded.patient_id == "Zoë-心電-🫀"
+        assert_packets_equal(packet, decoded)
+
+    def test_non_ascii_message_strings_round_trip(self):
+        msg = ServeMessage("sweep", "Zoë", t_s=5.0,
+                           fields={"Δt": 1.0}, info={"état": "κρίσιμο"})
+        assert decode_message(encode_message(msg)) == msg
+
+    def test_poisoned_frame_fails_the_whole_stream(self):
+        good = _string_packet()
+        stream = encode_packets([good, good])
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_packets(_poison_str(stream, "utf8-patient"))
+
+
 class TestGatewayIngestBytes:
     def test_frame_ingest_equals_object_ingest(self, trained_af_detector):
         profile = PatientProfile(patient_id="ib", rhythm="nsr",
@@ -322,16 +405,44 @@ class TestZeroCopyAliasing:
         decoded = decode_packet(encode_packet(packet))  # blob dropped
         assert_packets_equal(packet, decode_packet(encode_packet(decoded)))
 
-    def test_explicit_copy_flag_overrides_the_auto_rule(self):
+    def test_writable_source_decodes_to_owned_arrays(self):
         packet = _packet_of_kind("excerpt", 9)
         blob = encode_packet(packet)
-        copied = decode_packet(blob, copy=True)
+        copied = decode_packet(bytearray(blob))
         frame_bytes = np.frombuffer(blob, dtype=np.uint8)
         for frame in copied.frames:
             for window in frame:
                 if window.measurements.size:
                     assert not np.shares_memory(window.measurements,
                                                 frame_bytes)
+
+
+    def test_readonly_view_over_bytearray_still_copies(self):
+        # toreadonly() hides writability from the consumer, not from
+        # the owner: the decode must copy, and a later scribble over
+        # the bytearray cannot reach the held packet.
+        packet = _packet_of_kind("excerpt", 17)
+        source = bytearray(encode_packet(packet))
+        decoded = decode_packet(memoryview(source).toreadonly())
+        source[:] = b"\xff" * len(source)
+        assert_packets_equal(packet, decoded)
+
+    @pytest.mark.parametrize("wrap,aliased", [(bytes, True),
+                                              (bytearray, False)],
+                             ids=["bytes", "bytearray"])
+    def test_packet_stream_follows_the_source_rule(self, wrap, aliased):
+        # decode_packets hands each frame on as a slice of its source,
+        # so the aliasing decision must survive the slicing.
+        packets = [_packet_of_kind("excerpt", 41 + i) for i in range(3)]
+        source = wrap(encode_packets(packets))
+        stream_bytes = np.frombuffer(source, dtype=np.uint8)
+        decoded = decode_packets(source)
+        arrays = [w.measurements for p in decoded for f in p.frames
+                  for w in f if w.measurements.size]
+        assert arrays, "draws carried no measurement arrays"
+        for arr in arrays:
+            assert not arr.flags.writeable
+            assert np.shares_memory(arr, stream_bytes) is aliased
 
 
 class TestEncodeInto:

@@ -11,7 +11,9 @@ from repro.fleet import (
     FleetScheduler,
     Gateway,
     GatewayConfig,
+    NodeProxy,
     NodeProxyConfig,
+    PatientProfile,
     SchedulerConfig,
     WireFormatError,
     make_cohort,
@@ -122,6 +124,17 @@ class TestGatewayIntegration:
         assert record.t_s == 12.0
         assert record.path is not None
         assert load_flight_dump(record.path).detail["frame_b64"]
+
+    def test_non_utf8_frame_trips_anomaly(self):
+        obs = Observability()
+        gateway = Gateway(GatewayConfig(), obs=obs)
+        frame = NodeProxy(PatientProfile(patient_id="pu", seed=1),
+                          NodeProxyConfig(stream_telemetry=False)
+                          ).telemetry_packet(1.0).to_bytes()
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            gateway.ingest(frame.replace(b"\x02pu", b"\x02\xffu"))
+        assert [a.kind for a in obs.flight.anomalies] \
+            == [ANOMALY_WIRE_ERROR]
 
     def test_wire_frames_recorded_and_replayable(self):
         cohort = make_cohort(CohortConfig(n_patients=2, seed=7))
