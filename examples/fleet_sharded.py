@@ -1,8 +1,8 @@
 """Sharded fleet demo: one cohort striped across worker processes.
 
 Runs the same cohort twice — single-process and sharded across N
-worker processes, each shard exchanging **wire-encoded** results with
-the parent — then proves the two merged fleet summaries are
+worker processes, each shard returning its per-patient rows to the
+parent — then proves the two merged fleet summaries are
 byte-identical and reports the speedup.  On a multi-core machine the
 sharded run should approach a core-count speedup; on one core it shows
 the (small) process overhead instead.

@@ -61,7 +61,7 @@ from .kernel import (
     EventKernel,
     KernelError,
 )
-from .sharding import ShardPatientRow, merge_patient_rows
+from .sharding import ShardPatientRow, merge_patient_rows, patient_row
 from .triage import TriageBoard
 from .wire import (
     MAX_FRAME_BYTES,
@@ -70,6 +70,7 @@ from .wire import (
     decode_message,
     encode_message,
     frame_kind,
+    message_count,
 )
 
 __all__ = [
@@ -773,9 +774,13 @@ class GatewaySession:
             self.gateway.flush_reassembly()
             return [], False
         if msg.kind == "period":
-            self.board.set_expected_period(
-                self.patient_id, msg.fields.get("period_s", float("nan"))
-            )
+            period_s = msg.fields.get("period_s", float("nan"))
+            if not (isfinite(period_s) and period_s > 0):
+                raise WireFormatError(
+                    f"period field 'period_s' must be finite and > 0, "
+                    f"got {period_s!r}"
+                )
+            self.board.set_expected_period(self.patient_id, period_s)
             return [], False
         if msg.kind == "report":
             return [encode_message(self._on_report(msg))], False
@@ -794,9 +799,9 @@ class GatewaySession:
         self.kernel.run()
 
     def _on_drain(self, msg: ServeMessage) -> None:
+        max_packets = (None if msg.fields.get("budget", -1.0) == -1.0
+                       else message_count(msg, "budget"))
         t_s = self.kernel.advance_to(msg.t_s)
-        budget = int(msg.fields.get("budget", -1.0))
-        max_packets = None if budget < 0 else budget
 
         def act() -> None:
             for excerpt in self.gateway.drain(max_packets):
@@ -822,33 +827,10 @@ class GatewaySession:
         )
 
     def _on_report(self, msg: ServeMessage) -> ServeMessage:
-        fields = msg.fields
-        mode_seconds = {
-            key[5:]: value
-            for key, value in fields.items()
-            if key.startswith("mode:")
-        }
-        link_stats = {
-            key[5:]: int(value)
-            for key, value in fields.items()
-            if key.startswith("link:")
-        }
-        self.row = ShardPatientRow(
-            patient_id=self.patient_id,
-            n_sent=int(fields.get("n_sent", 0)),
-            n_reconstructed=self.n_reconstructed,
-            n_node_alarms=int(fields.get("n_node_alarms", 0)),
-            average_power_w=fields.get("average_power_w", float("nan")),
-            battery_days=fields.get("battery_days", float("nan")),
-            channel=self.gateway.channels.get(self.patient_id),
-            triage=self.board.patients[self.patient_id],
-            governed=msg.info.get("governed") == "1",
-            mode_seconds=mode_seconds,
-            governor_switches=int(fields.get("governor_switches", 0)),
-            final_soc=fields.get("final_soc", float("nan")),
-            projected_hours=fields.get("projected_hours", float("nan")),
-            link_stats=link_stats,
-        )
+        self.row = patient_row(
+            replace(msg, patient_id=self.patient_id),
+            self.gateway.channels.get(self.patient_id),
+            self.board.patients[self.patient_id], self.n_reconstructed)
         return ServeMessage("report-ack", self.patient_id, t_s=msg.t_s)
 
 
@@ -969,16 +951,18 @@ class JournalReplayer:
                 msg = decode_message(record.frame)
                 n_messages += 1
                 if msg.kind == "hello":
-                    index = int(msg.fields.get("index", len(hello_order)))
+                    index = message_count(
+                        msg, "index", float(len(hello_order))
+                    )
                     hello_order.setdefault(msg.patient_id, index)
                     session_for(msg.patient_id, source)
                 elif msg.kind == "stats":
-                    for key, value in msg.fields.items():
+                    for key in msg.fields:
                         if key.startswith("link:"):
                             name = key[5:]
-                            link_stats[name] = link_stats.get(name, 0) + int(
-                                value
-                            )
+                            link_stats[name] = link_stats.get(
+                                name, 0
+                            ) + message_count(msg, key)
                 elif msg.patient_id == "":
                     for session in per_source[source].values():
                         session.handle_message(msg)

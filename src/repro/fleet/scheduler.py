@@ -7,8 +7,9 @@ each tick it stacks the current excerpt window of every patient (grouped
 by lead count) into one numpy batch and encodes the whole group with a
 single matrix product per lead (:class:`BatchExcerptEncoder`), instead
 of per-patient ``Phi @ x`` calls.  The per-patient node phase (synthesis,
-delineation, AF analysis) is independent across patients and can run on
-a :class:`~concurrent.futures.ThreadPoolExecutor` worker pool.
+delineation, AF analysis) is independent across patients; it runs
+inline, and :mod:`repro.fleet.sharding` spreads a cohort across worker
+processes.
 
 The batch path matches :meth:`CsEncoder.encode` up to float round-off
 (BLAS summation order, ~1e-15 relative), so gateway reconstruction
@@ -23,7 +24,6 @@ the uplink run on stacked matrix products instead of per-patient loops.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
@@ -178,8 +178,6 @@ class SchedulerConfig:
     Attributes:
         duration_s: Simulated recording length per patient.
         fs: Node sampling rate.
-        workers: Thread-pool size for the per-patient node phase
-            (``0`` = run inline).
         drain_per_tick: Gateway packets processed per tick (``None`` =
             drain fully; a finite budget exercises the bounded queue).
         wire_loopback: Route every delivered packet through the binary
@@ -198,7 +196,6 @@ class SchedulerConfig:
 
     duration_s: float = 120.0
     fs: float = 250.0
-    workers: int = 0
     drain_per_tick: int | None = None
     wire_loopback: bool = False
 
@@ -401,7 +398,7 @@ class FleetScheduler:
                 self.journal.append_message(ServeMessage(
                     "period", pid, fields={"period_s": period}))
 
-        # Phase 1 — per-patient node processing (parallelizable).
+        # Phase 1 — per-patient node processing.
         def node_phase(profile: PatientProfile,
                        ) -> tuple[NodeProxy, MultiLeadEcg, NodeReport]:
             record = synthesize_patient(profile, cfg.duration_s, cfg.fs)
@@ -413,11 +410,7 @@ class FleetScheduler:
                                   emit_alarms=False)
             return proxy, record, report
 
-        if cfg.workers > 0:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(node_phase, self.cohort))
-        else:
-            results = [node_phase(profile) for profile in self.cohort]
+        results = [node_phase(profile) for profile in self.cohort]
         t_node = time.perf_counter()
 
         reports = {proxy.profile.patient_id: report
@@ -501,11 +494,13 @@ class FleetScheduler:
         """Build one patient's end-of-run ``report`` message.
 
         The single construction of the node-side row aggregates, shared
-        by the serve client (which ships it over the wire) and the
-        journal (which logs it as the run's last per-patient record).
-        Field names mirror
-        :class:`~repro.fleet.sharding.ShardPatientRow` exactly;
-        governor dwell times go out as ``mode:<name>`` keys *in
+        by the serve client (which ships it over the wire), the journal
+        (which logs it as the run's last per-patient record) and the
+        in-process row builders (shard workers, campaign units and the
+        campaign's joint path), all of which turn it into a
+        :class:`~repro.fleet.sharding.ShardPatientRow` with
+        :func:`~repro.fleet.sharding.patient_row`.  Field names mirror
+        the row's; governor dwell times go out as ``mode:<name>`` keys *in
         insertion order* (the codec preserves it), so the fleet-wide
         mode-seconds fold downstream sums in the same order as the
         in-process run — float-exactly.

@@ -8,12 +8,14 @@ vectorized the tick loop gets.  This module partitions a cohort across
 stripe — and merges the per-shard results into a single
 :class:`~repro.fleet.FleetSummary`.
 
-Every value that crosses the process boundary is **wire-encoded**: a
-shard worker returns one binary blob (:data:`SHARD_MAGIC` header, then
-little-endian per-patient rows with raw float64 SNR buffers), built
-with the same primitives as the packet codec in
-:mod:`repro.fleet.wire`.  Nothing pickles numpy object graphs, and the
-blob is exactly what a remote shard would send over a socket.
+A shard worker returns a picklable :class:`ShardResult`: one
+:class:`ShardPatientRow` per patient of its stripe plus the shard's
+counters and observability snapshot.  Every row — here, in the served
+gateway session, in journal replay and in the campaign — is built by
+the one constructor :func:`patient_row` from the patient's ``report``
+message (:meth:`~repro.fleet.FleetScheduler.report_message`) and the
+gateway-side channel and triage state, and every fold of rows goes
+through :func:`merge_patient_rows`.
 
 Determinism contract (tested, and gated in CI by
 ``benchmarks/test_fleet_throughput_sharded.py``):
@@ -35,14 +37,11 @@ Together these make the merged summary byte-identical
 
 from __future__ import annotations
 
-import json
-import struct
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from ..classification.afib import AfDetector
 from ..obs import (Observability, ObsConfig, SCOPE_SHARD,
@@ -54,6 +53,7 @@ from .node_proxy import NodeProxyConfig, UplinkPacket
 from .scheduler import (
     AcuityOverride,
     ExtraLoad,
+    FleetReport,
     FleetScheduler,
     GovernorFactory,
     RecordTransform,
@@ -61,20 +61,7 @@ from .scheduler import (
     UplinkChannel,
 )
 from .triage import FleetSummary, PatientTriage, TriageBoard, fleet_summary
-from .wire import WireFormatError, _pack_str, _unpack_str
-
-#: First bytes of a shard-result blob.
-SHARD_MAGIC = b"RPS1"
-
-#: Shard-result layout version (bump on any change).  v2 appended the
-#: u32-length-prefixed observability bundle after the patient rows.
-SHARD_VERSION = 2
-
-_SHARD_HEAD = struct.Struct("<4sBIQQdddI")
-_ROW_NODE = struct.Struct("<IddII")
-_ROW_CHANNEL = struct.Struct("<BIIIQdIIIIId")
-_ROW_TRIAGE = struct.Struct("<ddIIBdId")
-_ROW_GOVERNOR = struct.Struct("<BIdd")
+from .wire import ServeMessage, WireFormatError, message_count
 
 
 @dataclass(frozen=True)
@@ -185,12 +172,13 @@ class PerPatientLink:
 
 @dataclass(frozen=True)
 class ShardPatientRow:
-    """Everything one shard reports about one patient.
+    """One patient's end-of-run row: what every fold consumes.
 
-    The wire-level unit of the shard result: channel counters and SNR
-    samples, triage state, node-report aggregates, governor aggregates
-    and per-patient link statistics — all the merge (and the campaign's
-    shard-backed mode) needs, and nothing heavier.
+    Channel counters and SNR samples, triage state, node-report
+    aggregates, governor aggregates and per-patient link statistics —
+    all :func:`merge_patient_rows` (and the campaign's scenario
+    results) need, and nothing heavier.  Built only by
+    :func:`patient_row`.
     """
 
     patient_id: str
@@ -211,7 +199,7 @@ class ShardPatientRow:
 
 @dataclass(frozen=True)
 class ShardResult:
-    """Decoded outcome of one shard worker.
+    """Outcome of one shard worker (pickled home from the pool).
 
     Attributes:
         shard_index: Position in the shard layout.
@@ -232,6 +220,64 @@ class ShardResult:
     obs_bundle: dict | None = None
 
 
+def patient_row(report: ServeMessage, channel: PatientChannel | None,
+                triage: PatientTriage,
+                n_reconstructed: int) -> ShardPatientRow:
+    """Build one patient's row from its ``report`` message.
+
+    The single row constructor.  ``report`` carries the node-side half
+    (see :meth:`~repro.fleet.FleetScheduler.report_message`): counts,
+    energy, governor aggregates, ``mode:<name>`` dwell times in
+    insertion order and ``link:<name>`` channel counters.  The
+    gateway-side half — the patient's channel (``None`` when nothing
+    arrived), its triage machine and the number of reconstructed
+    excerpts — comes from whoever ran the gateway.
+
+    Raises:
+        WireFormatError: A count field (``n_sent``, ``n_node_alarms``,
+            ``governor_switches``, ``link:*``) is not a finite,
+            integral, non-negative number.
+    """
+    fields = report.fields
+    return ShardPatientRow(
+        patient_id=report.patient_id,
+        n_sent=message_count(report, "n_sent"),
+        n_reconstructed=n_reconstructed,
+        n_node_alarms=message_count(report, "n_node_alarms"),
+        average_power_w=fields.get("average_power_w", float("nan")),
+        battery_days=fields.get("battery_days", float("nan")),
+        channel=channel,
+        triage=triage,
+        governed=report.info.get("governed") == "1",
+        mode_seconds={key[5:]: value for key, value in fields.items()
+                      if key.startswith("mode:")},
+        governor_switches=message_count(report, "governor_switches"),
+        final_soc=fields.get("final_soc", float("nan")),
+        projected_hours=fields.get("projected_hours", float("nan")),
+        link_stats={key[5:]: message_count(report, key)
+                    for key in fields if key.startswith("link:")},
+    )
+
+
+def scheduler_rows(scheduler: FleetScheduler,
+                   fleet: FleetReport) -> list[ShardPatientRow]:
+    """Rows of every patient of a finished in-process run (cohort order).
+
+    The in-process caller of :func:`patient_row`: shard workers and the
+    campaign's units and joint path read their rows off the scheduler
+    that ran the gateway.
+    """
+    reconstructed = Counter(excerpt.patient_id for excerpt in fleet.excerpts)
+    rows = []
+    for profile in scheduler.cohort:
+        pid = profile.patient_id
+        rows.append(patient_row(
+            scheduler.report_message(pid, fleet.node_reports),
+            scheduler.gateway.channels.get(pid),
+            scheduler.board.patients[pid], reconstructed[pid]))
+    return rows
+
+
 def partition_cohort(cohort: list[PatientProfile],
                      n_shards: int) -> list[list[PatientProfile]]:
     """Round-robin patient stripes: shard ``i`` gets ``cohort[i::n]``.
@@ -249,218 +295,6 @@ def partition_cohort(cohort: list[PatientProfile],
         raise ValueError("cohort must not be empty")
     n_shards = min(n_shards, len(cohort))
     return [cohort[i::n_shards] for i in range(n_shards)]
-
-
-def _pack_counter(counts: dict) -> bytes:
-    """Serialize a small str -> int counter (u16 count, i64 values)."""
-    parts = [struct.pack("<H", len(counts))]
-    for key, value in counts.items():
-        parts.append(_pack_str(key))
-        parts.append(struct.pack("<q", int(value)))
-    return b"".join(parts)
-
-
-def _unpack_counter(buf: memoryview,
-                    offset: int) -> tuple[dict[str, int], int]:
-    """Inverse of :func:`_pack_counter`."""
-    (count,) = struct.unpack_from("<H", buf, offset)
-    offset += 2
-    out: dict[str, int] = {}
-    for _ in range(count):
-        key, offset = _unpack_str(buf, offset)
-        (value,) = struct.unpack_from("<q", buf, offset)
-        out[key] = value
-        offset += 8
-    return out, offset
-
-
-def _pack_float_map(values: dict) -> bytes:
-    """Serialize a str -> float map preserving insertion order."""
-    parts = [struct.pack("<H", len(values))]
-    for key, value in values.items():
-        parts.append(_pack_str(key))
-        parts.append(struct.pack("<d", float(value)))
-    return b"".join(parts)
-
-
-def _unpack_float_map(buf: memoryview,
-                      offset: int) -> tuple[dict[str, float], int]:
-    """Inverse of :func:`_pack_float_map` (order preserved)."""
-    (count,) = struct.unpack_from("<H", buf, offset)
-    offset += 2
-    out: dict[str, float] = {}
-    for _ in range(count):
-        key, offset = _unpack_str(buf, offset)
-        (value,) = struct.unpack_from("<d", buf, offset)
-        out[key] = value
-        offset += 8
-    return out, offset
-
-
-def encode_shard_result(result: ShardResult) -> bytes:
-    """Serialize one shard outcome to its binary blob."""
-    timings = result.timings_s
-    parts = [_SHARD_HEAD.pack(
-        SHARD_MAGIC, SHARD_VERSION, result.shard_index,
-        result.packets_sent, result.dropped,
-        timings.get("synthesis+node", 0.0),
-        timings.get("uplink+gateway", 0.0),
-        timings.get("total", 0.0),
-        len(result.rows))]
-    for row in result.rows:
-        parts.append(_pack_str(row.patient_id))
-        parts.append(_ROW_NODE.pack(row.n_node_alarms,
-                                    row.average_power_w,
-                                    row.battery_days, row.n_sent,
-                                    row.n_reconstructed))
-        channel = row.channel
-        if channel is None:
-            parts.append(struct.pack("<B", 0))
-        else:
-            parts.append(_ROW_CHANNEL.pack(
-                1, channel.n_excerpts, channel.n_alarms,
-                channel.n_confirmed, channel.payload_bits,
-                channel.last_timestamp_s, channel.n_duplicates,
-                channel.n_out_of_order, channel.n_gaps,
-                channel.n_late_recovered, channel.n_telemetry,
-                channel.last_soc))
-            parts.append(_pack_str(channel.last_mode))
-            snrs = np.asarray(channel.snrs, dtype=np.float64)
-            parts.append(struct.pack("<I", snrs.shape[0]))
-            parts.append(snrs.tobytes())
-        triage = row.triage
-        parts.append(_pack_str(triage.state))
-        parts.append(_ROW_TRIAGE.pack(
-            triage.since_s, triage.last_event_s, triage.n_alerts,
-            triage.n_watches, int(triage.stale), triage.last_seen_s,
-            triage.n_stale_events, triage.soc))
-        parts.append(_pack_str(triage.mode))
-        parts.append(_ROW_GOVERNOR.pack(
-            int(row.governed), row.governor_switches, row.final_soc,
-            row.projected_hours))
-        parts.append(_pack_float_map(row.mode_seconds))
-        parts.append(_pack_counter(row.link_stats))
-    # v2 trailer: the worker's observability bundle as canonical JSON
-    # (u32 length prefix; zero when the run was not observed).
-    obs_json = (b"" if result.obs_bundle is None
-                else json.dumps(result.obs_bundle, sort_keys=True,
-                                separators=(",", ":")).encode("utf-8"))
-    parts.append(struct.pack("<I", len(obs_json)))
-    parts.append(obs_json)
-    return b"".join(parts)
-
-
-def decode_shard_result(data: bytes | bytearray | memoryview,
-                        ) -> ShardResult:
-    """Parse a shard blob back into a :class:`ShardResult`.
-
-    SNR buffers are boxed into owned ``list[float]`` (the live-gateway
-    channel shape), so the result never aliases ``data``.
-
-    Raises:
-        WireFormatError: Bad magic, version mismatch or truncation.
-    """
-    buf = memoryview(data).toreadonly()
-    if len(buf) < _SHARD_HEAD.size:
-        raise WireFormatError("truncated shard result: header missing")
-    (magic, version, shard_index, packets_sent, dropped, t_node,
-     t_gateway, t_total, n_rows) = _SHARD_HEAD.unpack_from(buf, 0)
-    if magic != SHARD_MAGIC:
-        raise WireFormatError(f"bad shard magic {magic!r}")
-    if version != SHARD_VERSION:
-        raise WireFormatError(f"unsupported shard version {version}")
-    offset = _SHARD_HEAD.size
-    rows: list[ShardPatientRow] = []
-    try:
-        for _ in range(n_rows):
-            patient_id, offset = _unpack_str(buf, offset)
-            (n_node_alarms, average_power_w, battery_days, n_sent,
-             n_reconstructed) = _ROW_NODE.unpack_from(buf, offset)
-            offset += _ROW_NODE.size
-            (has_channel,) = struct.unpack_from("<B", buf, offset)
-            channel: PatientChannel | None = None
-            if has_channel:
-                (_, n_excerpts, n_alarms, n_confirmed, payload_bits,
-                 last_timestamp_s, n_duplicates, n_out_of_order, n_gaps,
-                 n_late_recovered, n_telemetry,
-                 last_soc) = _ROW_CHANNEL.unpack_from(buf, offset)
-                offset += _ROW_CHANNEL.size
-                last_mode, offset = _unpack_str(buf, offset)
-                (n_snrs,) = struct.unpack_from("<I", buf, offset)
-                offset += 4
-                if offset + 8 * n_snrs > len(buf):
-                    raise WireFormatError(
-                        "truncated shard result: SNR buffer")
-                snrs = np.frombuffer(
-                    buf[offset:offset + 8 * n_snrs],
-                    dtype=np.float64)
-                offset += 8 * n_snrs
-                channel = PatientChannel(
-                    patient_id=patient_id, n_excerpts=n_excerpts,
-                    n_alarms=n_alarms, n_confirmed=n_confirmed,
-                    payload_bits=payload_bits,
-                    last_timestamp_s=last_timestamp_s,
-                    n_duplicates=n_duplicates,
-                    n_out_of_order=n_out_of_order, n_gaps=n_gaps,
-                    n_late_recovered=n_late_recovered,
-                    snrs=[float(s) for s in snrs],
-                    n_telemetry=n_telemetry, last_mode=last_mode,
-                    last_soc=last_soc)
-            else:
-                offset += 1
-            state, offset = _unpack_str(buf, offset)
-            (since_s, last_event_s, n_alerts, n_watches, stale,
-             last_seen_s, n_stale_events,
-             soc) = _ROW_TRIAGE.unpack_from(buf, offset)
-            offset += _ROW_TRIAGE.size
-            mode, offset = _unpack_str(buf, offset)
-            triage = PatientTriage(
-                patient_id=patient_id, state=state, since_s=since_s,
-                last_event_s=last_event_s, n_alerts=n_alerts,
-                n_watches=n_watches, stale=bool(stale),
-                last_seen_s=last_seen_s, n_stale_events=n_stale_events,
-                soc=soc, mode=mode)
-            (governed, governor_switches, final_soc,
-             projected_hours) = _ROW_GOVERNOR.unpack_from(buf, offset)
-            offset += _ROW_GOVERNOR.size
-            mode_seconds, offset = _unpack_float_map(buf, offset)
-            link_stats, offset = _unpack_counter(buf, offset)
-            rows.append(ShardPatientRow(
-                patient_id=patient_id, n_sent=n_sent,
-                n_reconstructed=n_reconstructed,
-                n_node_alarms=n_node_alarms,
-                average_power_w=average_power_w,
-                battery_days=battery_days, channel=channel,
-                triage=triage, governed=bool(governed),
-                mode_seconds=mode_seconds,
-                governor_switches=governor_switches,
-                final_soc=final_soc, projected_hours=projected_hours,
-                link_stats=link_stats))
-        (obs_len,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-    except struct.error as exc:
-        raise WireFormatError("truncated shard result") from exc
-    obs_bundle: dict | None = None
-    if obs_len:
-        if offset + obs_len > len(buf):
-            raise WireFormatError(
-                "truncated shard result: observability bundle")
-        try:
-            obs_bundle = json.loads(
-                bytes(buf[offset:offset + obs_len]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireFormatError(
-                "corrupt shard observability bundle") from exc
-        offset += obs_len
-    if offset != len(buf):
-        raise WireFormatError(
-            f"{len(buf) - offset} trailing bytes after shard result")
-    return ShardResult(
-        shard_index=shard_index, packets_sent=packets_sent,
-        dropped=dropped,
-        timings_s={"synthesis+node": t_node, "uplink+gateway": t_gateway,
-                   "total": t_total},
-        rows=rows, obs_bundle=obs_bundle)
 
 
 @dataclass(frozen=True)
@@ -486,7 +320,7 @@ class _GovernorView:
     _projected_hours: float
 
     def projected_hours_to_empty(self) -> float:
-        """The worker-side projection, carried over the wire."""
+        """The worker-side projection, carried in the row."""
         return self._projected_hours
 
 
@@ -513,10 +347,12 @@ def merge_patient_rows(cohort: list[PatientProfile],
                        dropped: int = 0) -> FleetSummary:
     """Fold per-patient rows (in cohort order) into one fleet summary.
 
-    The single merge path shared by :class:`ShardedFleetRunner` and the
-    socket gateway service (:mod:`repro.fleet.serve`): channels, triage
-    machines, node reports and governor views are rebuilt **in cohort
-    order** and folded with the very same
+    The single fold of rows, shared by :class:`ShardedFleetRunner`, the
+    socket gateway service (:mod:`repro.fleet.serve`), journal replay
+    (:class:`~repro.fleet.JournalReplayer`) and the campaign's
+    per-patient sweep: channels, triage machines, node reports and
+    governor views are rebuilt **in cohort order** and folded with the
+    very same
     :func:`~repro.fleet.triage.fleet_summary` the single-process
     scheduler uses — so any runtime that produces correct per-patient
     rows is byte-identical to the in-process engine by construction.
@@ -571,8 +407,7 @@ class ShardedFleetReport:
         n_shards: Shard layout actually used.
         packets_sent: Uplink packets offered across every shard.
         dropped_packets: Bounded-queue drops across every shard.
-        rows: Per-patient rows in cohort order (what the campaign's
-            shard-backed mode consumes).
+        rows: Per-patient rows in cohort order.
         shard_timings_s: Each shard scheduler's phase timings.
         timings_s: Parent-side wall clock (``total`` spans fork to
             merge).
@@ -621,15 +456,15 @@ def _run_shard(shard_index: int, profiles: list[PatientProfile],
                hook_factory: ShardHookFactory | None,
                af_detector: AfDetector | None,
                obs_config: ObsConfig | None = None,
-               journal_config=None, n_shards: int = 1) -> bytes:
-    """Worker body: run one shard's scheduler, return its wire blob.
+               journal_config=None, n_shards: int = 1) -> ShardResult:
+    """Worker body: run one shard's scheduler, return its result.
 
     Module-level so a :class:`~concurrent.futures.ProcessPoolExecutor`
     can pickle the call; every argument is a plain dataclass (or a
-    picklable callable), every return crosses the boundary as bytes.
+    picklable callable), and so is the returned :class:`ShardResult`.
     The live :class:`~repro.obs.Observability` bundle is built *here*
-    from the picklable ``obs_config`` and returns as a JSON snapshot in
-    the blob's v2 trailer.
+    from the picklable ``obs_config`` and returns as a plain-dict
+    snapshot.
 
     With a ``journal_config``
     (:class:`~repro.fleet.journal.JournalConfig`), the worker writes
@@ -682,47 +517,13 @@ def _run_shard(shard_index: int, profiles: list[PatientProfile],
             "Simulated seconds covered by one shard scheduler.",
             scope=SCOPE_SHARD).set(config.duration_s,
                                    shard=str(shard_index))
-    reconstructed: dict[str, int] = {}
-    for excerpt in fleet.excerpts:
-        reconstructed[excerpt.patient_id] = \
-            reconstructed.get(excerpt.patient_id, 0) + 1
-    link = hooks.link
-    rows = []
-    for profile in profiles:
-        pid = profile.patient_id
-        report = fleet.node_reports[pid]
-        governor = scheduler.governors.get(pid)
-        if isinstance(link, PerPatientLink):
-            link_stats = link.stats_for(pid)
-        else:
-            link_stats = {}
-        rows.append(ShardPatientRow(
-            patient_id=pid,
-            n_sent=scheduler.sent_by_patient.get(pid, 0),
-            n_reconstructed=reconstructed.get(pid, 0),
-            n_node_alarms=len(report.alarms),
-            average_power_w=report.average_power_w,
-            battery_days=report.battery_days,
-            channel=scheduler.gateway.channels.get(pid),
-            triage=scheduler.board.patients[pid],
-            governed=governor is not None,
-            mode_seconds=(dict(governor.mode_seconds)
-                          if governor is not None else {}),
-            governor_switches=(governor.n_switches
-                               if governor is not None else 0),
-            final_soc=(governor.battery.soc
-                       if governor is not None else float("nan")),
-            projected_hours=(governor.projected_hours_to_empty()
-                             if governor is not None else float("nan")),
-            link_stats=link_stats))
-    result = ShardResult(
+    return ShardResult(
         shard_index=shard_index,
         packets_sent=fleet.packets_sent,
         dropped=scheduler.gateway.dropped,
         timings_s=dict(fleet.timings_s),
-        rows=rows,
+        rows=scheduler_rows(scheduler, fleet),
         obs_bundle=(obs.snapshot_bundle() if obs is not None else None))
-    return encode_shard_result(result)
 
 
 class ShardedFleetRunner:
@@ -742,7 +543,7 @@ class ShardedFleetRunner:
         af_detector: Trained fleet AF detector (pickled to workers).
         obs_config: Optional :class:`~repro.obs.ObsConfig`.  Each
             worker builds its own :class:`~repro.obs.Observability`
-            bundle from it and ships a snapshot home in the blob; the
+            bundle from it and ships a snapshot home in its result; the
             parent merges them (plus its own merge-cost gauges) into
             :attr:`ShardedFleetReport.obs_bundle`.
         journal: Optional :class:`~repro.fleet.journal.JournalConfig`.
@@ -778,7 +579,7 @@ class ShardedFleetRunner:
         return len(self.shards)
 
     def run(self) -> ShardedFleetReport:
-        """Run every shard, decode the blobs and merge in cohort order."""
+        """Run every shard and merge their rows in cohort order."""
         t_start = time.perf_counter()
         tasks = [(i, profiles, self.config, self.node_config,
                   self.gateway_config, self.master_seed,
@@ -786,13 +587,12 @@ class ShardedFleetRunner:
                   self.journal, len(self.shards))
                  for i, profiles in enumerate(self.shards)]
         if len(tasks) == 1:
-            blobs = [_run_shard(*tasks[0])]
+            results = [_run_shard(*tasks[0])]
         else:
             with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
                 futures = [pool.submit(_run_shard, *task)
                            for task in tasks]
-                blobs = [future.result() for future in futures]
-        results = [decode_shard_result(blob) for blob in blobs]
+                results = [future.result() for future in futures]
         t_merge = time.perf_counter()
         report = self._merge(results)
         if self.obs_config is not None:
@@ -819,7 +619,7 @@ class ShardedFleetRunner:
         return merge_bundles(bundles)
 
     def _merge(self, results: list[ShardResult]) -> ShardedFleetReport:
-        """Fold decoded shard results into one fleet view.
+        """Fold shard results into one fleet view.
 
         Delegates to :func:`merge_patient_rows` — the merge path shared
         with the socket gateway service — so equivalence is structural,

@@ -534,6 +534,25 @@ class ServeMessage:
     info: dict[str, str] = field(default_factory=dict)
 
 
+def message_count(message: ServeMessage, key: str,
+                  default: float = 0.0) -> int:
+    """One count field of a control message, validated.
+
+    Fields travel as float64, so a hostile or corrupt peer can send
+    NaN, infinities, fractions or negatives where a count belongs.
+
+    Raises:
+        WireFormatError: The value is not a finite, integral,
+            non-negative number.
+    """
+    value = message.fields.get(key, default)
+    if not (value >= 0 and float(value).is_integer()):
+        raise WireFormatError(
+            f"{message.kind} field {key!r} must be a non-negative "
+            f"integer, got {value!r}")
+    return int(value)
+
+
 def encode_message(message: ServeMessage) -> bytes:
     """Serialize one :class:`ServeMessage` to its binary frame."""
     parts = [

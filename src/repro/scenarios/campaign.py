@@ -25,10 +25,11 @@ the signal itself.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +41,17 @@ from ..fleet.journal import (
     JournalConfig,
     JournalReplayer,
     JournalWriter,
-    ReplayReport,
     journal_meta,
 )
 from ..fleet.node_proxy import NodeProxyConfig
-from ..fleet.scheduler import FleetReport, FleetScheduler, SchedulerConfig
-from ..fleet.triage import STATE_ALERT, STATES
+from ..fleet.scheduler import FleetScheduler, SchedulerConfig
+from ..fleet.sharding import (
+    PerPatientLink,
+    ShardPatientRow,
+    merge_patient_rows,
+    scheduler_rows,
+)
+from ..fleet.triage import STATE_ALERT, FleetSummary
 from ..obs import Observability, SCOPE_SHARD
 from ..power.battery import Battery, BatteryModel
 from ..power.governor import EnergyGovernor, GovernorConfig, ModePowerTable
@@ -75,8 +81,6 @@ class CampaignConfig:
         duration_s: Simulated recording length per patient.
         fs: Node sampling rate.
         master_seed: The one seed everything derives from.
-        workers: Thread-pool size for the node phase (0 = inline; keep
-            0 when byte-identical float reproducibility matters).
         gateway_n_iter: FISTA budget of the gateway decoder (lower than
             the single-patient default — a campaign reconstructs
             hundreds of windows).
@@ -88,10 +92,14 @@ class CampaignConfig:
             scenario over the whole cohort, one shared link RNG drawn in
             packet order.  ``>= 1`` decomposes the grid into independent
             ``(patient, scenario)`` units — each with its own gateway,
-            triage machine and per-patient link seed
-            (``derive_seed(master, scenario, "link", patient_id)``) —
-            executed on up to ``patient_workers`` processes and merged
-            by ``(patient_id, scenario)`` key in cohort x grid order.
+            triage machine and per-patient link
+            (:class:`~repro.fleet.PerPatientLink` seeded with
+            ``derive_seed(master, scenario, "link", patient_id)``) —
+            executed on up to ``patient_workers`` processes.  Each unit
+            returns its patient's row; rows are looked up by
+            ``(patient_id, scenario)`` key and folded in cohort order by
+            :func:`~repro.fleet.sharding.merge_patient_rows`, the fold
+            every other runtime uses.
             Reports are byte-identical across any worker count >= 1
             (tested); they differ from the joint path only in the
             (equally valid) per-patient channel draws.
@@ -130,7 +138,6 @@ class CampaignConfig:
     duration_s: float = 60.0
     fs: float = 250.0
     master_seed: int = 2014
-    workers: int = 0
     gateway_n_iter: int = 80
     excerpt_period_s: float = 60.0
     stream_telemetry: bool = False
@@ -305,35 +312,6 @@ def _governed_kit(spec: ScenarioSpec, config: CampaignConfig):
             acuity_override if stresses else None)
 
 
-@dataclass(frozen=True)
-class _PatientOutcome:
-    """Result of one ``(patient, scenario)`` unit of a decomposed sweep.
-
-    Only the (picklable) numbers the merged :class:`ScenarioResult`
-    needs cross the process boundary — never the reconstructed signals.
-    """
-
-    patient_id: str
-    scenario: str
-    packets_sent: int
-    packets_reconstructed: int
-    node_alarms: int
-    confirmed_alarms: int
-    payload_bits: int
-    duplicates: int
-    gaps: int
-    queue_dropped: int
-    snrs: tuple[float, ...]
-    state: str
-    stale: bool
-    link_stats: dict[str, int]
-    runtime_s: float
-    mode_seconds: dict[str, float]
-    governor_switches: int
-    final_soc: float
-    telemetry_packets: int
-
-
 def _patient_link(spec: ScenarioSpec, master_seed: int,
                   patient_id: str) -> ImpairedLink:
     """One patient's channel model, seeded per patient.
@@ -364,17 +342,21 @@ def _fault_injector(spec: ScenarioSpec, master_seed: int):
 
 
 def _patient_unit(spec: ScenarioSpec, profile: PatientProfile,
-                  config: CampaignConfig,
-                  detector: AfDetector) -> _PatientOutcome:
+                  config: CampaignConfig, detector: AfDetector,
+                  ) -> tuple[ShardPatientRow, int, float]:
     """Run one patient through one scenario, fully self-contained.
 
     Module-level so a :class:`ProcessPoolExecutor` can pickle it.  Every
     random stream is derived from the master seed plus the scenario and
     patient names — the outcome is a pure function of its arguments, so
     any process/worker assignment computes identical numbers.
+
+    Returns:
+        ``(row, queue drops, wall seconds)`` of the unit.
     """
     t0 = time.perf_counter()
-    link = (_patient_link(spec, config.master_seed, profile.patient_id)
+    link = (PerPatientLink(functools.partial(
+                _patient_link, spec, config.master_seed))
             if spec.link.impaired else None)
     inject = _fault_injector(spec, config.master_seed)
     factory, extra_load, acuity_override = _governed_kit(spec, config)
@@ -393,34 +375,8 @@ def _patient_unit(spec: ScenarioSpec, profile: PatientProfile,
         acuity_override=acuity_override,
     )
     fleet = scheduler.run()
-    gateway = scheduler.gateway
-    channel = gateway.channels.get(profile.patient_id)
-    triage = scheduler.board.patients[profile.patient_id]
-    governor = scheduler.governors.get(profile.patient_id)
-    return _PatientOutcome(
-        patient_id=profile.patient_id,
-        scenario=spec.name,
-        packets_sent=fleet.packets_sent,
-        packets_reconstructed=len(fleet.excerpts),
-        node_alarms=len(fleet.node_reports[profile.patient_id].alarms),
-        confirmed_alarms=channel.n_confirmed if channel else 0,
-        payload_bits=channel.payload_bits if channel else 0,
-        duplicates=channel.n_duplicates if channel else 0,
-        gaps=channel.n_gaps if channel else 0,
-        queue_dropped=gateway.dropped,
-        snrs=tuple(channel.snrs) if channel else (),
-        state=triage.state,
-        stale=triage.stale,
-        link_stats=dict(fleet.link_stats),
-        runtime_s=time.perf_counter() - t0,
-        mode_seconds=(dict(governor.mode_seconds)
-                      if governor is not None else {}),
-        governor_switches=(governor.n_switches
-                           if governor is not None else 0),
-        final_soc=(governor.battery.soc
-                   if governor is not None else float("nan")),
-        telemetry_packets=channel.n_telemetry if channel else 0,
-    )
+    (row,) = scheduler_rows(scheduler, fleet)
+    return row, scheduler.gateway.dropped, time.perf_counter() - t0
 
 
 @dataclass
@@ -594,13 +550,12 @@ class CampaignRunner:
         report = CampaignReport(config=cfg)
         clean_p50: float | None = None
         if cfg.patient_workers >= 1:
-            outcomes = self._run_decomposed(cohort, detector)
+            units = self._run_decomposed(cohort, detector)
         else:
-            outcomes = None
+            units = None
         for i, spec in enumerate(self.scenarios):
-            if outcomes is not None:
-                result = self._merge_scenario(spec, cohort, outcomes,
-                                              clean_p50)
+            if units is not None:
+                result = self._fold_units(spec, cohort, units, clean_p50)
             elif i < (start_idx or 0):
                 result = self._replay_scenario(spec, clean_p50)
             else:
@@ -644,107 +599,52 @@ class CampaignRunner:
 
     def _run_decomposed(self, cohort: list[PatientProfile],
                         detector: AfDetector,
-                        ) -> dict[tuple[str, str], _PatientOutcome]:
+                        ) -> dict[tuple[str, str], tuple]:
         """Run every ``(patient, scenario)`` unit, keyed — not ordered.
 
-        Results are collected into a dict keyed by ``(patient_id,
-        scenario)`` as they *complete* (arbitrary arrival order under a
-        process pool); :meth:`_merge_scenario` then reads them back in
-        cohort x grid order.  Merging must never depend on arrival
-        order — that is what makes a 4-worker run byte-identical to
+        Unit outcomes are collected into a dict keyed by ``(patient_id,
+        scenario)``; :meth:`_fold_units` then reads them back in cohort
+        x grid order.  Folding never depends on completion order — that
+        is what makes a 4-worker run byte-identical to
         ``patient_workers=1`` (tested).
         """
         cfg = self.config
         units = [(spec, profile) for spec in self.scenarios
                  for profile in cohort]
-        outcomes: dict[tuple[str, str], _PatientOutcome] = {}
         if cfg.patient_workers == 1:
-            for spec, profile in units:
-                outcome = _patient_unit(spec, profile, cfg, detector)
-                outcomes[(profile.patient_id, spec.name)] = outcome
-            return outcomes
+            return {(profile.patient_id, spec.name):
+                    _patient_unit(spec, profile, cfg, detector)
+                    for spec, profile in units}
         with ProcessPoolExecutor(max_workers=cfg.patient_workers) as pool:
-            futures = [pool.submit(_patient_unit, spec, profile, cfg,
-                                   detector) for spec, profile in units]
-            for future in as_completed(futures):
-                outcome = future.result()
-                outcomes[(outcome.patient_id, outcome.scenario)] = outcome
-        return outcomes
+            futures = {(profile.patient_id, spec.name):
+                       pool.submit(_patient_unit, spec, profile, cfg,
+                                   detector)
+                       for spec, profile in units}
+            return {key: future.result()
+                    for key, future in futures.items()}
 
-    def _merge_scenario(self, spec: ScenarioSpec,
-                        cohort: list[PatientProfile],
-                        outcomes: dict[tuple[str, str], _PatientOutcome],
-                        clean_p50: float | None) -> ScenarioResult:
-        """Fold one scenario's per-patient outcomes into a result.
-
-        Iterates the cohort in its (seed-derived) order and looks every
-        outcome up by ``(patient_id, scenario)`` key, so the merge is
-        independent of completion order.
-        """
+    def _fold_units(self, spec: ScenarioSpec,
+                    cohort: list[PatientProfile],
+                    units: dict[tuple[str, str], tuple],
+                    clean_p50: float | None) -> ScenarioResult:
+        """Fold one scenario's unit rows with ``merge_patient_rows``."""
         cfg = self.config
-        rows = [outcomes[(profile.patient_id, spec.name)]
-                for profile in cohort]
-        n = len(rows)
-        scale_day = 86400.0 / cfg.duration_s
-        node_alarms = sum(r.node_alarms for r in rows)
-        confirmed = sum(r.confirmed_alarms for r in rows)
-        snrs = np.array([s for r in rows for s in r.snrs], dtype=float)
-        p10, p50, p90 = (np.percentile(snrs, (10, 50, 90)) if snrs.size
-                         else (float("nan"),) * 3)
-        sentinel_rows = [r for r in rows
-                         if r.patient_id.startswith(SENTINEL_PREFIX)]
-        sent_node = sum(r.node_alarms for r in sentinel_rows)
-        sent_conf = sum(r.confirmed_alarms for r in sentinel_rows)
-        false_drop = (1.0 - min(sent_conf, sent_node) / sent_node
-                      if sent_node else 0.0)
-        delivery = confirmed / node_alarms if node_alarms else 1.0
-        drop_p50 = (clean_p50 - float(p50)
-                    if clean_p50 is not None and np.isfinite(p50) else 0.0)
-        states = Counter(r.state for r in rows)
+        outcomes = [units[(profile.patient_id, spec.name)]
+                    for profile in cohort]
+        rows = [row for row, _, _ in outcomes]
+        summary = merge_patient_rows(
+            cohort, {row.patient_id: row for row in rows},
+            GatewayConfig(n_iter=cfg.gateway_n_iter), cfg.duration_s,
+            cfg.fs, dropped=sum(dropped for _, dropped, _ in outcomes))
         link_stats: Counter[str] = Counter()
-        for r in rows:
-            link_stats.update(r.link_stats)
-        mode_seconds: dict[str, float] = {}
-        for r in rows:
-            for mode, sec in r.mode_seconds.items():
-                mode_seconds[mode] = mode_seconds.get(mode, 0.0) + sec
-        socs = [r.final_soc for r in rows if np.isfinite(r.final_soc)]
-        return ScenarioResult(
-            scenario=spec.name,
-            description=spec.description,
-            n_patients=n,
-            duration_s=cfg.duration_s,
-            packets_sent=sum(r.packets_sent for r in rows),
-            packets_reconstructed=sum(r.packets_reconstructed
-                                      for r in rows),
-            node_alarms=node_alarms,
-            confirmed_alarms=confirmed,
-            alarm_delivery_rate=delivery,
-            sentinel_node_alarms=sent_node,
-            sentinel_confirmed_alarms=sent_conf,
-            sentinel_false_drop_rate=false_drop,
-            snr_p10_db=float(p10),
-            snr_p50_db=float(p50),
-            snr_p90_db=float(p90),
-            snr_drop_p50_db=drop_p50,
-            uplink_bytes_per_patient_day=sum(r.payload_bits for r in rows)
-            / 8.0 / n * scale_day,
-            state_counts={state: states.get(state, 0)
-                          for state in STATES},
-            stale_patients=sum(1 for r in rows if r.stale),
-            duplicate_packets=sum(r.duplicates for r in rows),
-            reassembly_gaps=sum(r.gaps for r in rows),
-            queue_dropped=sum(r.queue_dropped for r in rows),
-            link_stats=dict(link_stats),
-            runtime_s=sum(r.runtime_s for r in rows),
-            governed=cfg.governed,
-            mode_seconds=mode_seconds,
-            governor_switches=sum(r.governor_switches for r in rows),
-            mean_final_soc=(float(np.mean(socs)) if socs
-                            else float("nan")),
-            telemetry_packets=sum(r.telemetry_packets for r in rows),
-            unit_runtimes_s={r.patient_id: r.runtime_s for r in rows},
-        )
+        for row in rows:
+            link_stats.update(row.link_stats)
+        runtimes = {row.patient_id: seconds
+                    for row, _, seconds in outcomes}
+        return self._scenario_result(spec, summary, rows,
+                                     dict(link_stats),
+                                     sum(runtimes.values()), runtimes,
+                                     clean_p50)
 
     def _train_detector(self) -> AfDetector:
         """Train the fleet AF detector from a seed-derived corpus."""
@@ -782,8 +682,7 @@ class CampaignRunner:
                 obs=self.obs, resume=False)
         scheduler = FleetScheduler(
             cohort,
-            SchedulerConfig(duration_s=cfg.duration_s, fs=cfg.fs,
-                            workers=cfg.workers),
+            SchedulerConfig(duration_s=cfg.duration_s, fs=cfg.fs),
             node_config=NodeProxyConfig(
                 excerpt_period_s=cfg.excerpt_period_s,
                 stream_telemetry=cfg.stream_telemetry),
@@ -804,8 +703,9 @@ class CampaignRunner:
             if journal is not None:
                 journal.close()
         runtime = time.perf_counter() - t0
-        return self._result_from(spec, fleet, scheduler, clean_p50,
-                                 runtime)
+        return self._scenario_result(
+            spec, fleet.summary, scheduler_rows(scheduler, fleet),
+            fleet.link_stats, runtime, None, clean_p50)
 
     def _replay_scenario(self, spec: ScenarioSpec,
                          clean_p50: float | None) -> ScenarioResult:
@@ -819,25 +719,26 @@ class CampaignRunner:
         t0 = time.perf_counter()
         replay = JournalReplayer(self._journal_config(spec)).run()
         runtime = time.perf_counter() - t0
-        return self._result_from_replay(spec, replay, clean_p50,
-                                        runtime)
+        return self._scenario_result(
+            spec, replay.summary, list(replay.rows.values()),
+            replay.link_stats, runtime, None, clean_p50)
 
-    def _result_from_replay(self, spec: ScenarioSpec,
-                            replay: ReplayReport,
-                            clean_p50: float | None,
-                            runtime: float) -> ScenarioResult:
-        """Map a replayed journal onto the scenario-result schema.
+    def _scenario_result(self, spec: ScenarioSpec, summary: FleetSummary,
+                         rows: list[ShardPatientRow],
+                         link_stats: dict[str, int], runtime: float,
+                         unit_runtimes: dict[str, float] | None,
+                         clean_p50: float | None) -> ScenarioResult:
+        """Map one scenario's summary and rows onto the result schema.
 
-        Mirrors :meth:`_result_from` field by field, reading from the
-        replay's merged summary and per-patient rows instead of the
-        live scheduler state.
+        The one builder behind the live joint, replayed and decomposed
+        paths.  ``unit_runtimes`` of ``None`` splits ``runtime`` evenly:
+        the joint and replayed paths run the whole cohort in one loop,
+        so exact per-unit attribution needs the decomposed path.
         """
-        summary = replay.summary
-        rows = replay.rows
-        sentinel_rows = [row for pid, row in rows.items()
-                        if pid.startswith(SENTINEL_PREFIX)]
-        sent_node = sum(row.n_node_alarms for row in sentinel_rows)
-        sent_conf = sum(row.channel.n_confirmed for row in sentinel_rows
+        sentinels = [row for row in rows
+                     if row.patient_id.startswith(SENTINEL_PREFIX)]
+        sent_node = sum(row.n_node_alarms for row in sentinels)
+        sent_conf = sum(row.channel.n_confirmed for row in sentinels
                         if row.channel is not None)
         false_drop = (1.0 - min(sent_conf, sent_node) / sent_node
                       if sent_node else 0.0)
@@ -846,14 +747,16 @@ class CampaignRunner:
         drop_p50 = (clean_p50 - summary.snr_p50_db
                     if clean_p50 is not None
                     and np.isfinite(summary.snr_p50_db) else 0.0)
+        if unit_runtimes is None:
+            unit_runtimes = {row.patient_id: runtime / max(1, len(rows))
+                             for row in rows}
         return ScenarioResult(
             scenario=spec.name,
             description=spec.description,
             n_patients=summary.n_patients,
             duration_s=summary.duration_s,
-            packets_sent=replay.packets_sent,
-            packets_reconstructed=sum(row.n_reconstructed
-                                      for row in rows.values()),
+            packets_sent=sum(row.n_sent for row in rows),
+            packets_reconstructed=sum(row.n_reconstructed for row in rows),
             node_alarms=summary.node_alarms,
             confirmed_alarms=summary.confirmed_alarms,
             alarm_delivery_rate=delivery,
@@ -871,78 +774,13 @@ class CampaignRunner:
             duplicate_packets=summary.duplicate_packets,
             reassembly_gaps=summary.reassembly_gaps,
             queue_dropped=summary.dropped_packets,
-            link_stats=replay.link_stats,
+            link_stats=link_stats,
             runtime_s=runtime,
             governed=summary.governed,
             mode_seconds=dict(summary.mode_seconds),
             governor_switches=summary.governor_switches,
             mean_final_soc=summary.mean_final_soc,
-            telemetry_packets=sum(
-                row.channel.n_telemetry for row in rows.values()
-                if row.channel is not None),
-            unit_runtimes_s={
-                pid: runtime / max(1, summary.n_patients)
-                for pid in rows},
-        )
-
-    def _result_from(self, spec: ScenarioSpec, fleet: FleetReport,
-                     scheduler: FleetScheduler,
-                     clean_p50: float | None,
-                     runtime: float) -> ScenarioResult:
-        summary = fleet.summary
-        sentinel_ids = [p.patient_id for p in fleet.profiles
-                        if p.patient_id.startswith(SENTINEL_PREFIX)]
-        sent_node = sum(len(fleet.node_reports[pid].alarms)
-                        for pid in sentinel_ids)
-        sent_conf = sum(
-            scheduler.gateway.channels[pid].n_confirmed
-            for pid in sentinel_ids
-            if pid in scheduler.gateway.channels)
-        false_drop = (1.0 - min(sent_conf, sent_node) / sent_node
-                      if sent_node else 0.0)
-        delivery = (summary.confirmed_alarms / summary.node_alarms
-                    if summary.node_alarms else 1.0)
-        drop_p50 = (clean_p50 - summary.snr_p50_db
-                    if clean_p50 is not None
-                    and np.isfinite(summary.snr_p50_db) else 0.0)
-        return ScenarioResult(
-            scenario=spec.name,
-            description=spec.description,
-            n_patients=summary.n_patients,
-            duration_s=summary.duration_s,
-            packets_sent=fleet.packets_sent,
-            packets_reconstructed=len(fleet.excerpts),
-            node_alarms=summary.node_alarms,
-            confirmed_alarms=summary.confirmed_alarms,
-            alarm_delivery_rate=delivery,
-            sentinel_node_alarms=sent_node,
-            sentinel_confirmed_alarms=sent_conf,
-            sentinel_false_drop_rate=false_drop,
-            snr_p10_db=summary.snr_p10_db,
-            snr_p50_db=summary.snr_p50_db,
-            snr_p90_db=summary.snr_p90_db,
-            snr_drop_p50_db=drop_p50,
-            uplink_bytes_per_patient_day=
-                summary.uplink_bytes_per_patient_day,
-            state_counts=summary.state_counts,
-            stale_patients=summary.stale_patients,
-            duplicate_packets=summary.duplicate_packets,
-            reassembly_gaps=summary.reassembly_gaps,
-            queue_dropped=summary.dropped_packets,
-            link_stats=fleet.link_stats,
-            runtime_s=runtime,
-            governed=summary.governed,
-            mode_seconds=dict(summary.mode_seconds),
-            governor_switches=summary.governor_switches,
-            mean_final_soc=summary.mean_final_soc,
-            telemetry_packets=sum(
-                ch.n_telemetry
-                for ch in scheduler.gateway.channels.values()),
-            # The joint path runs the whole cohort in one scheduler
-            # loop, so the per-unit split is an even share of the
-            # scenario wall time (exact attribution needs the
-            # decomposed path).
-            unit_runtimes_s={
-                p.patient_id: runtime / max(1, summary.n_patients)
-                for p in fleet.profiles},
+            telemetry_packets=sum(row.channel.n_telemetry for row in rows
+                                  if row.channel is not None),
+            unit_runtimes_s=unit_runtimes,
         )

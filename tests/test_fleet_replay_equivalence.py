@@ -11,7 +11,8 @@ total event order.
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -209,6 +210,47 @@ class TestServedReplay:
             JournalReplayer(
                 config, gateway_config=RUN_KW["gateway_config"],
                 duration_s=60.0, fs=250.0).run()
+
+
+def _row_view(row) -> str:
+    """Every field of a row, nested ones too, in insertion order.
+
+    JSON keeps dict order (``mode_seconds`` dwell order is part of the
+    contract) and spells NaN one way, so equal rows give equal strings.
+    """
+    return json.dumps(asdict(row))
+
+
+class TestRowLevelCrossLeg:
+    def test_sharded_served_and_replayed_rows_match_field_by_field(
+            self, tmp_path):
+        # Row fields the summary does not pin — n_reconstructed,
+        # per-row link_stats, projected_hours, mode_seconds order —
+        # must agree across legs too.
+        spec = LinkSpec(loss_rate=0.15, duplicate_rate=0.1,
+                        reorder_rate=0.2, jitter_s=2.0,
+                        reorder_delay_s=65.0)
+        kw = dict(RUN_KW, master_seed=99,
+                  hook_factory=functools.partial(_impaired_governed_hooks,
+                                                 spec))
+        journal = JournalConfig(dir=str(tmp_path), name="rows")
+        sharded = ShardedFleetRunner(COHORT, n_shards=2, journal=journal,
+                                     **kw).run()
+        served = run_served_fleet(COHORT, **kw)
+        replayed = JournalReplayer(
+            [journal.for_shard(i) for i in range(2)]).run()
+        order = [p.patient_id for p in COHORT]
+        for rows in (sharded.rows, served.rows, replayed.rows):
+            assert list(rows) == order
+        for pid in order:
+            reference = _row_view(sharded.rows[pid])
+            assert _row_view(served.rows[pid]) == reference, pid
+            assert _row_view(replayed.rows[pid]) == reference, pid
+        rows = list(sharded.rows.values())
+        assert all(row.governed for row in rows)
+        assert any(row.n_reconstructed for row in rows)
+        assert any(row.link_stats.get("offered") for row in rows)
+        assert any(len(row.mode_seconds) > 1 for row in rows)
 
 
 class TestServedSoak:

@@ -16,6 +16,11 @@ from repro.fleet import (
     FleetScheduler,
     Gateway,
     GatewayConfig,
+    GatewaySession,
+    JournalConfig,
+    JournalError,
+    JournalReplayer,
+    JournalWriter,
     NodeProxy,
     NodeProxyConfig,
     PatientProfile,
@@ -33,6 +38,7 @@ from repro.fleet import (
     encode_message,
     encode_packets,
     encode_stream_frame,
+    journal_meta,
     make_cohort,
     run_served_fleet,
     serve,
@@ -291,6 +297,100 @@ class TestNonUtf8Frames:
             with pytest.raises(ServeError, match="closed"):
                 transport.recv_message()
             transport.close()
+
+
+#: Control messages whose numeric fields no honest client sends: NaN,
+#: infinities, fractions and negatives where counts belong, and
+#: non-positive or non-finite uplink periods.
+HOSTILE_CONTROL = [
+    ("drain", {"budget": float("nan")}),
+    ("drain", {"budget": float("inf")}),
+    ("drain", {"budget": -2.0}),
+    ("drain", {"budget": 1.5}),
+    ("period", {"period_s": float("nan")}),
+    ("period", {"period_s": 0.0}),
+    ("period", {"period_s": -60.0}),
+    ("period", {"period_s": float("inf")}),
+    ("period", {}),
+    ("report", {"n_sent": float("nan")}),
+    ("report", {"n_sent": float("inf")}),
+    ("report", {"n_node_alarms": -1.0}),
+    ("report", {"governor_switches": 2.5}),
+    ("report", {"link:lost": float("inf")}),
+]
+HOSTILE_IDS = [f"{kind}-{next(iter(fields), 'missing')}-"
+               f"{next(iter(fields.values()), '')}"
+               for kind, fields in HOSTILE_CONTROL]
+
+
+class TestHostileControlFields:
+    """Numeric control fields fail closed on every lane: the session
+    answers ``error`` and closes, replay raises ``JournalError``."""
+
+    @pytest.mark.parametrize("kind,fields", HOSTILE_CONTROL,
+                             ids=HOSTILE_IDS)
+    def test_session_answers_error_and_closes(self, kind, fields):
+        session = GatewaySession("ph")
+        replies, close = session.handle_frame(encode_message(
+            ServeMessage(kind, "ph", t_s=1.0, fields=fields)))
+        assert close
+        (reply,) = [decode_message(body) for body in replies]
+        assert reply.kind == "error"
+        assert "must be" in reply.info["error"]
+        assert session.row is None
+
+    @pytest.mark.parametrize("kind,fields", [
+        ("drain", {"budget": -1.0}), ("drain", {"budget": 0.0}),
+        ("drain", {"budget": 3.0}), ("drain", {}),
+        ("period", {"period_s": 120.0}),
+        ("report", {"n_sent": 2.0, "link:lost": 0.0})])
+    def test_session_accepts_valid_fields(self, kind, fields):
+        session = GatewaySession("ph")
+        replies, close = session.handle_frame(encode_message(
+            ServeMessage(kind, "ph", t_s=1.0, fields=fields)))
+        assert not close
+        assert all(decode_message(body).kind != "error"
+                   for body in replies)
+
+    @pytest.mark.parametrize("kind,fields", HOSTILE_CONTROL,
+                             ids=HOSTILE_IDS)
+    def test_served_session_answers_error(self, kind, fields, caplog):
+        with FleetGatewayServer(ServeConfig()) as server:
+            transport = _hello(server, "ph")
+            transport.send_message(
+                ServeMessage(kind, "ph", t_s=1.0, fields=fields))
+            with pytest.raises(ServeError, match="must be"):
+                transport.recv_message()
+            with pytest.raises(ServeError, match="closed"):
+                transport.recv_message()
+            transport.close()
+        assert "Unhandled exception" not in caplog.text
+
+    @pytest.mark.parametrize("kind,fields", HOSTILE_CONTROL,
+                             ids=HOSTILE_IDS)
+    def test_replay_raises_journal_error(self, kind, fields, tmp_path):
+        config = JournalConfig(dir=str(tmp_path), name="hostile")
+        with JournalWriter(config, meta=journal_meta(60.0, 250.0),
+                           resume=False) as writer:
+            writer.append_message(ServeMessage("hello", "ph"))
+            writer.append_message(
+                ServeMessage(kind, "ph", t_s=1.0, fields=fields))
+        with pytest.raises(JournalError, match="must be"):
+            JournalReplayer(config).run()
+
+    @pytest.mark.parametrize("kind,fields", [
+        ("hello", {"index": float("nan")}),
+        ("stats", {"link:lost": -1.0})])
+    def test_replay_rejects_bad_bookkeeping_records(self, kind, fields,
+                                                    tmp_path):
+        config = JournalConfig(dir=str(tmp_path), name="bookkeeping")
+        with JournalWriter(config, meta=journal_meta(60.0, 250.0),
+                           resume=False) as writer:
+            writer.append_message(
+                ServeMessage(kind, "ph" if kind == "hello" else "",
+                             fields=fields))
+        with pytest.raises(JournalError, match="must be"):
+            JournalReplayer(config).run()
 
 
 class TestBackpressure:

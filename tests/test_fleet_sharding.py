@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -14,22 +14,20 @@ from repro.fleet import (
     Gateway,
     GatewayConfig,
     NodeProxyConfig,
+    PatientChannel,
+    PatientTriage,
     PerPatientLink,
     SchedulerConfig,
+    ServeMessage,
     ShardHooks,
     ShardedFleetRunner,
     WireFormatError,
+    decode_message,
+    encode_message,
     make_cohort,
     partition_cohort,
 )
-from repro.fleet.sharding import (
-    ShardPatientRow,
-    ShardResult,
-    _run_shard,
-    decode_shard_result,
-    encode_shard_result,
-)
-from repro.fleet.triage import PatientTriage
+from repro.fleet.sharding import ShardResult, _run_shard, patient_row
 from repro.power import Battery, BatteryModel
 from repro.power.governor import (
     EnergyGovernor,
@@ -181,163 +179,66 @@ class TestPerPatientLink:
         assert link.drain() == []
 
 
-class TestShardResultCodec:
-    def _result(self) -> ShardResult:
-        from repro.fleet import PatientChannel
+def _report(**fields) -> ServeMessage:
+    """A governed ``report`` message as the scheduler would build it."""
+    base = {"n_sent": 4.0, "n_node_alarms": 2.0,
+            "average_power_w": 1.5e-3, "battery_days": 12.5,
+            "governor_switches": 3.0, "final_soc": 0.25,
+            "projected_hours": 7.5}
+    base.update(fields)
+    return ServeMessage("report", "p0", t_s=60.0, fields=base,
+                        info={"governed": "1"})
 
-        triage = PatientTriage(patient_id="p0", state="watch",
-                               since_s=60.0, last_event_s=60.0,
-                               n_watches=1, soc=0.5, mode="raw")
-        channel = PatientChannel(patient_id="p0", n_excerpts=3,
-                                 snrs=[18.5, 21.0, 19.25])
-        row = ShardPatientRow(
-            patient_id="p0", n_sent=4, n_reconstructed=3,
-            n_node_alarms=2, average_power_w=1.5e-3, battery_days=12.5,
-            channel=channel, triage=triage, governed=True,
-            mode_seconds={"raw": 60.0, "multi_lead_cs": 120.0},
-            governor_switches=3, final_soc=0.25, projected_hours=7.5,
-            link_stats={"offered": 4, "lost": 1})
-        return ShardResult(shard_index=2, packets_sent=4, dropped=1,
-                           timings_s={"synthesis+node": 0.5,
-                                      "uplink+gateway": 0.25,
-                                      "total": 0.75},
-                           rows=[row])
 
-    def test_round_trip(self):
-        result = self._result()
-        decoded = decode_shard_result(encode_shard_result(result))
-        assert decoded.shard_index == result.shard_index
-        assert decoded.packets_sent == result.packets_sent
-        assert decoded.dropped == result.dropped
-        assert decoded.timings_s == result.timings_s
-        (row,) = decoded.rows
-        original = result.rows[0]
-        assert row.patient_id == original.patient_id
-        assert row.mode_seconds == original.mode_seconds
-        assert list(row.mode_seconds) == list(original.mode_seconds)
-        assert row.link_stats == original.link_stats
-        assert row.triage.state == "watch"
-        assert row.triage.soc == 0.5
-        assert row.final_soc == 0.25
-        assert row.projected_hours == 7.5
-        assert row.channel is not None
-        assert row.channel.snrs == original.channel.snrs
+class TestPatientRow:
+    """The single row constructor, driven by ``report`` messages."""
 
-    def test_every_truncation_raises_wire_error(self):
-        # Every prefix cut — including mid-SNR-buffer cuts that are not
-        # a multiple of the float64 item size — must surface as a
-        # WireFormatError, never a raw numpy/struct exception.
-        blob = encode_shard_result(self._result())
-        for cut in range(len(blob)):
-            with pytest.raises(WireFormatError):
-                decode_shard_result(blob[:cut])
+    TRIAGE = PatientTriage(patient_id="p0", state="watch", soc=0.5,
+                           mode="raw")
+    CHANNEL = PatientChannel(patient_id="p0", n_excerpts=3,
+                             snrs=[18.5, 21.0, 19.25])
 
-    def test_bad_magic_raises(self):
-        blob = bytearray(encode_shard_result(self._result()))
-        blob[0] ^= 0xFF
-        with pytest.raises(WireFormatError, match="magic"):
-            decode_shard_result(bytes(blob))
+    def test_ungoverned_report_keeps_nan_governor_columns(self):
+        msg = ServeMessage("report", "p0", t_s=60.0, fields={
+            "n_sent": 4.0, "n_node_alarms": 1.0,
+            "average_power_w": 1e-3, "battery_days": 9.0,
+            "governor_switches": 0.0, "final_soc": float("nan"),
+            "projected_hours": float("nan")}, info={"governed": "0"})
+        row = patient_row(msg, None, self.TRIAGE, 3)
+        assert not row.governed
+        assert math.isnan(row.final_soc)
+        assert math.isnan(row.projected_hours)
+        assert row.mode_seconds == {} and row.link_stats == {}
+        assert row.channel is None
+        assert (row.n_sent, row.n_node_alarms, row.n_reconstructed) \
+            == (4, 1, 3)
+        assert type(row.n_sent) is int
 
-    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
-    def test_decode_accepts_any_buffer(self, wrap):
-        blob = encode_shard_result(self._result())
-        decoded = decode_shard_result(wrap(blob))
-        assert encode_shard_result(decoded) == blob
+    def test_mode_and_link_keys_become_maps(self):
+        msg = _report(**{"mode:multi_lead_cs": 120.0, "mode:raw": 60.0,
+                         "link:offered": 4.0, "link:lost": 1.0})
+        row = patient_row(msg, self.CHANNEL, self.TRIAGE, 3)
+        assert row.governed
+        # Insertion order survives: the fleet fold sums in this order.
+        assert list(row.mode_seconds.items()) \
+            == [("multi_lead_cs", 120.0), ("raw", 60.0)]
+        assert row.link_stats == {"offered": 4, "lost": 1}
+        assert all(type(v) is int for v in row.link_stats.values())
+        assert row.channel is self.CHANNEL and row.triage is self.TRIAGE
 
-    def test_writable_source_is_copied(self):
-        # Decoders alias only immutable bytes: wiping a bytearray
-        # after decode must not reach the decoded SNRs.
-        blob = bytearray(encode_shard_result(self._result()))
-        decoded = decode_shard_result(blob)
-        blob[:] = bytes(len(blob))
-        assert decoded.rows[0].channel.snrs == [18.5, 21.0, 19.25]
+    def test_wire_round_trip_gives_the_same_row(self):
+        msg = _report(**{"mode:raw": 60.0, "link:offered": 4.0})
+        decoded = decode_message(encode_message(msg))
+        assert patient_row(decoded, self.CHANNEL, self.TRIAGE, 3) \
+            == patient_row(msg, self.CHANNEL, self.TRIAGE, 3)
 
-    def test_readonly_view_over_writable_source_is_copied(self):
-        source = bytearray(encode_shard_result(self._result()))
-        decoded = decode_shard_result(memoryview(source).toreadonly())
-        source[:] = bytes(len(source))
-        assert decoded.rows[0].channel.snrs == [18.5, 21.0, 19.25]
-
-    def test_snrs_are_owned_float_lists(self):
-        decoded = decode_shard_result(encode_shard_result(self._result()))
-        snrs = decoded.rows[0].channel.snrs
-        assert type(snrs) is list
-        assert all(type(s) is float for s in snrs)
-
-    def test_round_trip_is_byte_stable(self):
-        blob = encode_shard_result(self._result())
-        assert encode_shard_result(decode_shard_result(blob)) == blob
-
-    def test_empty_shard_round_trips(self):
-        empty = ShardResult(shard_index=3, packets_sent=0, dropped=0,
-                            timings_s={})
-        decoded = decode_shard_result(encode_shard_result(empty))
-        assert decoded.shard_index == 3
-        assert decoded.rows == []
-        assert decoded.obs_bundle is None
-
-    def test_row_without_channel_round_trips(self):
-        result = self._result()
-        row = replace(result.rows[0], channel=None)
-        decoded = decode_shard_result(encode_shard_result(
-            replace(result, rows=[row])))
-        assert decoded.rows[0].channel is None
-        assert decoded.rows[0].triage.state == "watch"
-
-    def test_obs_bundle_round_trips(self):
-        bundle = {"metrics": {"fleet.packets": 4}, "trace": []}
-        result = replace(self._result(), obs_bundle=bundle)
-        decoded = decode_shard_result(encode_shard_result(result))
-        assert decoded.obs_bundle == bundle
-
-    def test_unknown_version_raises(self):
-        blob = bytearray(encode_shard_result(self._result()))
-        blob[4] += 1
-        with pytest.raises(WireFormatError, match="version"):
-            decode_shard_result(bytes(blob))
-
-    def test_trailing_bytes_raise(self):
-        blob = encode_shard_result(self._result()) + b"\x00"
-        with pytest.raises(WireFormatError, match="trailing"):
-            decode_shard_result(blob)
-
-    def test_corrupt_obs_bundle_raises(self):
-        head = encode_shard_result(replace(self._result(), obs_bundle={}))
-        # An empty bundle encodes as "{}"; swap it for invalid JSON of
-        # the same length.
-        assert head.endswith(b"{}")
-        with pytest.raises(WireFormatError, match="observability"):
-            decode_shard_result(head[:-2] + b"{{")
-
-    def test_non_utf8_patient_id_raises(self):
-        blob = encode_shard_result(self._result())
-        assert blob.count(b"\x02p0") == 1
-        with pytest.raises(WireFormatError, match="UTF-8"):
-            decode_shard_result(blob.replace(b"\x02p0", b"\x02\xff0"))
-
-    @pytest.mark.parametrize("value,nth", [
-        ("multi_lead_cs", 0), ("watch", 0), ("raw", 0),
-        ("multi_lead_cs", 1), ("offered", 0)],
-        ids=["last_mode", "triage_state", "triage_mode",
-             "mode_seconds_key", "link_stats_key"])
-    def test_non_utf8_row_string_raises(self, value, nth):
-        # Row strings in encode order: channel last_mode, triage state
-        # and mode, then the mode-seconds and link-stats keys.
-        blob = encode_shard_result(self._result())
-        field = bytes([len(value)]) + value.encode("utf-8")
-        at = -1
-        for _ in range(nth + 1):
-            at = blob.index(field, at + 1)
-        forged = blob[:at + 1] + b"\xff" + blob[at + 2:]
-        with pytest.raises(WireFormatError, match="UTF-8"):
-            decode_shard_result(forged)
-
-    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
-    def test_truncation_raises_for_any_buffer(self, wrap):
-        blob = encode_shard_result(self._result())
-        for cut in range(0, len(blob), 7):
-            with pytest.raises(WireFormatError):
-                decode_shard_result(wrap(blob[:cut]))
+    @pytest.mark.parametrize("key", ["n_sent", "n_node_alarms",
+                                     "governor_switches", "link:lost"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf"), -1.0, 1.5])
+    def test_bad_count_field_raises_wire_error(self, key, value):
+        with pytest.raises(WireFormatError, match=key):
+            patient_row(_report(**{key: value}), None, self.TRIAGE, 0)
 
 
 def _failing_hooks(profiles, master_seed: int) -> ShardHooks:
@@ -358,13 +259,13 @@ class TestShardWorkers:
         with pytest.raises(RuntimeError, match="shard hook failure"):
             runner.run()
 
-    def test_worker_returns_a_decodable_bytes_blob(self):
+    def test_worker_returns_a_shard_result_in_stripe_order(self):
         shard = partition_cohort(COHORT, 2)[1]
-        blob = _run_shard(1, shard, RUN_KW["config"],
-                          RUN_KW["node_config"], RUN_KW["gateway_config"],
-                          2014, None, None, n_shards=2)
-        assert type(blob) is bytes
-        result = decode_shard_result(blob)
+        result = _run_shard(1, shard, RUN_KW["config"],
+                            RUN_KW["node_config"],
+                            RUN_KW["gateway_config"], 2014, None, None,
+                            n_shards=2)
+        assert type(result) is ShardResult
         assert result.shard_index == 1
         assert [row.patient_id for row in result.rows] \
             == [p.patient_id for p in shard]
